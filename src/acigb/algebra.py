@@ -9,6 +9,7 @@ never appear.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,14 +40,47 @@ def multinomial(total: int, parts: Iterable[int]) -> int:
     return out
 
 
+# The first 13 primes.  Miller-Rabin on all of them as bases decides
+# primality exactly below PRIME_CEILING, the smallest strong pseudoprime to
+# every one of them (Sorenson & Webster, 2015).  The first 12 alone are not
+# enough there: 318665857834031151167461 passes them and is composite.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_CEILING = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
+    """Exact primality test.
+
+    Trial division by the small primes, then deterministic Miller-Rabin.
+    Raises ValueError for p at or above PRIME_CEILING that no small prime
+    divides, where those bases no longer decide.
+    """
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _SMALL_PRIMES:
+        if p % q == 0:
+            return p == q
+    if p < _SMALL_PRIMES[-1] ** 2:
+        return True
+    if p >= PRIME_CEILING:
+        raise ValueError(
+            f"modulus {p} is too large: primality is decided exactly only "
+            f"below {PRIME_CEILING}"
+        )
+    d, s = p - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -216,6 +250,9 @@ class TermOrder:
             raise ValueError(f"unknown order kind {self.kind!r}")
         if sorted(self.ranking) != list(range(1, len(self.ranking) + 1)):
             raise ValueError(f"ranking must permute 1..n, got {self.ranking}")
+        # the default ranking needs no permutation, which keeps key() cheap
+        identity = self.ranking == tuple(range(1, len(self.ranking) + 1))
+        object.__setattr__(self, "_identity", identity)
 
     @property
     def n(self) -> int:
@@ -226,10 +263,10 @@ class TermOrder:
 
     def key(self, mono: Mono):
         """Sort key: key(a) < key(b) iff a comes before b in the order."""
-        perm = self.permute(mono)
+        perm = mono if self._identity else self.permute(mono)
         if self.kind == "grevlex":
-            return (sum(perm), tuple(-e for e in reversed(perm)))
-        return (sum(perm), perm)
+            return (sum(perm), tuple(map(operator.neg, reversed(perm))))
+        return (sum(perm), tuple(perm))
 
     def cmp(self, a: Mono, b: Mono) -> int:
         ka, kb = self.key(a), self.key(b)
@@ -451,26 +488,39 @@ def normal_form_pure_powers(f: SparsePoly, m: tuple, from_index: int = 1) -> Spa
     return SparsePoly(f.n, f.field, terms)
 
 
-def reduce_full(f: SparsePoly, reducers: list, order: TermOrder) -> SparsePoly:
-    """Full normal form of f modulo a list of polynomials.
-
-    Every term of the result is divisible by no leading monomial of the
-    reducers, so reducing a second time is the identity.
-    """
-    field = f.field
-    lead = []
+def lead_table(reducers, order: TermOrder) -> list:
+    """(leading monomial, leading coefficient, polynomial) for every nonzero
+    reducer, in the given order: the table ``reduce_full`` searches."""
+    table = []
     for g in reducers:
         lt = g.leading_term(order)
         if lt is not None:
-            lead.append((lt[0], lt[1], g))
+            table.append((lt[0], lt[1], g))
+    return table
+
+
+def reduce_full(
+    f: SparsePoly, reducers: list | None, order: TermOrder, table: list | None = None
+) -> SparsePoly:
+    """Full normal form of f modulo a list of polynomials.
+
+    Every term of the result is divisible by no leading monomial of the
+    reducers, so reducing a second time is the identity.  A caller that
+    reduces many polynomials by the same reducers may pass their
+    ``lead_table`` as ``table``; ``reducers`` is then not read.
+    """
+    field = f.field
+    if table is None:
+        table = lead_table(reducers, order)
     work = dict(f.terms)
     remainder: dict = {}
     key = order.key
+    keys = {mono: key(mono) for mono in work}
     while work:
-        mono = max(work, key=key)
+        mono = max(work, key=keys.__getitem__)
         c = work.pop(mono)
         hit = None
-        for lm, lc, g in lead:
+        for lm, lc, g in table:
             if mono_divides(lm, mono):
                 hit = (lm, lc, g)
                 break
@@ -488,6 +538,8 @@ def reduce_full(f: SparsePoly, reducers: list, order: TermOrder) -> SparsePoly:
             if acc == field.zero:
                 work.pop(t, None)
             else:
+                if t not in keys:
+                    keys[t] = key(t)
                 work[t] = acc
     return SparsePoly(f.n, field, remainder)
 

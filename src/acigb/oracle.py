@@ -9,6 +9,7 @@ degree cap that is sound for homogeneous inputs.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from .algebra import (
     compositions,
     field_for,
     grevlex,
+    lead_table,
     linear_power,
     mono_degree,
     mono_div,
@@ -75,67 +77,81 @@ def spoly(f: SparsePoly, g: SparsePoly, order: TermOrder) -> SparsePoly:
     return left.sub(right)
 
 
-def _interreduce(basis: list, order: TermOrder) -> list:
+def _interreduce(table: list, order: TermOrder) -> list:
+    """Reduced basis from the lead table of a Groebner basis."""
     # minimality first: drop any element whose leading monomial another divides
-    basis = sorted(basis, key=lambda g: order.key(g.leading_term(order)[0]))
     kept: list = []
-    for g in basis:
-        lm = g.leading_term(order)[0]
-        if not any(mono_divides(h.leading_term(order)[0], lm) for h in kept):
-            kept.append(g)
-    # then push every tail outside the span of the leading monomials
+    for entry in sorted(table, key=lambda e: order.key(e[0])):
+        if not any(mono_divides(lm, entry[0]) for lm, _, _ in kept):
+            kept.append(entry)
+    # then push every tail outside the span of the leading monomials; the
+    # leading terms never move, so only the polynomial of an entry changes
     changed = True
     while changed:
         changed = False
-        for i, g in enumerate(kept):
-            rest = kept[:i] + kept[i + 1 :]
-            h = reduce_full(g, rest, order)
+        for i, (lm, lc, g) in enumerate(kept):
+            h = reduce_full(g, None, order, table=kept[:i] + kept[i + 1 :])
             if h != g:
-                kept[i] = h
+                kept[i] = (lm, lc, h)
                 changed = True
-    return [g.monic(order) for g in kept]
+    return [g.scale(g.field.inv(lc)) for _, lc, g in kept]
 
 
 def buchberger(gens: list, cfg: OracleConfig) -> tuple:
     """Reduced Groebner basis of the ideal the generators span.
 
-    Normal selection strategy (smallest lcm in the order) with the coprimality
-    and chain criteria.  A degree cap discards pairs above the cap, which
-    loses nothing below it when all inputs are homogeneous.
+    Normal selection strategy with the coprimality and chain criteria: the
+    pairs wait in a heap of ``(order.key(lcm), i, j)``, i > j, pushed once
+    when the later element joins the basis, so the pair with the smallest
+    lcm in the order comes next and ties go to the lower indices.  The
+    reduced basis is unique, so the tie-break never shows in the result.
+    A degree cap discards pairs above the cap, which loses nothing below it
+    when all inputs are homogeneous; on other inputs a cap is refused.
     """
     order = cfg.order
+    cap = cfg.degree_cap
+    if cap is not None and not all(g.is_homogeneous() for g in gens):
+        raise ValueError("a degree cap needs homogeneous generators")
     basis = [g for g in gens if not g.is_zero()]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i)}
+    table = lead_table(basis, order)
+    leads = [lm for lm, _, _ in table]
+    pairs: set = set()  # pairs still waiting, for the chain criterion
+    heap: list = []
 
-    def lead(i):
-        return basis[i].leading_term(order)[0]
+    def push_pairs(t):
+        for s in range(t):
+            lcm = mono_lcm(leads[t], leads[s])
+            heapq.heappush(heap, (order.key(lcm), t, s, lcm))
+            pairs.add((t, s))
 
-    while pairs:
-        best = min(
-            pairs, key=lambda ij: order.key(mono_lcm(lead(ij[0]), lead(ij[1])))
-        )
-        pairs.discard(best)
-        i, j = best
-        lcm = mono_lcm(lead(i), lead(j))
-        if cfg.degree_cap is not None and mono_degree(lcm) > cfg.degree_cap:
-            continue
-        if lcm == mono_mul(lead(i), lead(j)):
+    for t in range(len(basis)):
+        push_pairs(t)
+    while heap:
+        _, i, j, lcm = heapq.heappop(heap)
+        pairs.discard((i, j))
+        if cap is not None and mono_degree(lcm) > cap:
+            # pairs leave the heap in a graded order, so every waiting pair
+            # lies above the cap too
+            break
+        if lcm == mono_mul(leads[i], leads[j]):
             continue
         if any(
             t != i
             and t != j
-            and mono_divides(lead(t), lcm)
-            and tuple(sorted((i, t)))[::-1] not in pairs
-            and tuple(sorted((j, t)))[::-1] not in pairs
+            and mono_divides(leads[t], lcm)
+            and (max(i, t), min(i, t)) not in pairs
+            and (max(j, t), min(j, t)) not in pairs
             for t in range(len(basis))
         ):
             continue
-        h = reduce_full(spoly(basis[i], basis[j], order), basis, order)
+        h = reduce_full(spoly(basis[i], basis[j], order), basis, order, table=table)
         if not h.is_zero():
+            lm, lc = h.leading_term(order)
             basis.append(h)
-            t = len(basis) - 1
-            pairs.update((t, s) for s in range(t))
-    return tuple(_interreduce(basis, order))
+            table.append((lm, lc, h))
+            leads.append(lm)
+            push_pairs(len(basis) - 1)
+    return tuple(_interreduce(table, order))
 
 
 def oracle_reduced_gb(n: int, m, k: int, cfg: OracleConfig | None = None) -> GroebnerBasis:

@@ -1,5 +1,6 @@
 """Unit and property tests for the exact polynomial layer."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from acigb.algebra import (
     GT,
     LT,
+    PRIME_CEILING,
     QQ,
     PrimeField,
     SparsePoly,
@@ -21,6 +23,8 @@ from acigb.algebra import (
     grevlex,
     grlex,
     is_m_free,
+    is_prime,
+    lead_table,
     linear_power,
     max_index,
     mono_div,
@@ -62,6 +66,24 @@ class TestOrders:
         # compare x2 vs x1 at equal degree instead
         o = TermOrder("grlex", (2, 1))
         assert o.cmp((0, 1), (1, 0)) == GT
+
+    def test_key_matches_permute_then_key(self):
+        # the key skips the permutation for the identity ranking; either way
+        # it must equal the key taken on the permuted exponents
+        def reference(order, mono):
+            perm = order.permute(mono)
+            if order.kind == "grevlex":
+                return (sum(perm), tuple(-e for e in reversed(perm)))
+            return (sum(perm), perm)
+
+        monos = list(itertools.product(range(4), repeat=3))
+        for kind in ("grevlex", "grlex"):
+            for ranking in itertools.permutations((1, 2, 3)):
+                o = TermOrder(kind, ranking)
+                for mono in monos:
+                    assert o.key(mono) == reference(o, mono), (kind, ranking, mono)
+                want = sorted(monos, key=lambda mono: reference(o, mono))
+                assert sorted(monos, key=o.key) == want
 
     def test_bad_ranking_rejected(self):
         with pytest.raises(ValueError):
@@ -181,6 +203,36 @@ class TestPolyArithmetic:
         with pytest.raises(ValueError):
             PrimeField(6)
 
+    def test_is_prime_matches_trial_division(self):
+        def slow(p):
+            return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+        assert [p for p in range(-3, 5000) if is_prime(p)] == [
+            p for p in range(-3, 5000) if slow(p)
+        ]
+
+    def test_is_prime_large(self):
+        assert is_prime(1000000000000000003)
+        assert is_prime(2**61 - 1)
+        # Carmichael numbers and strong pseudoprimes to the first 9 and the
+        # first 12 prime bases
+        for composite in (561, 41041, 3825123056546413051, 318665857834031151167461):
+            assert not is_prime(composite), composite
+
+    @given(st.integers(2, PRIME_CEILING - 1))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_is_prime_matches_sympy(self, p):
+        sympy = pytest.importorskip("sympy")
+        assert is_prime(p) == sympy.isprime(p)
+
+    def test_is_prime_refuses_above_ceiling(self):
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(PRIME_CEILING)
+        with pytest.raises(ValueError, match="too large"):
+            PrimeField(2**89 - 1)
+        # a small factor still decides, however large the number
+        assert not is_prime(2 * PRIME_CEILING)
+
     def test_prime_field_coerces_fraction(self):
         gf = PrimeField(5)
         assert gf.coerce(Fraction(1, 2)) == 3
@@ -237,6 +289,23 @@ class TestNormalForms:
         ]
         r = reduce_full(f, basis, o)
         assert reduce_full(r, basis, o).terms == r.terms
+
+    @given(
+        st.lists(st.tuples(monos3, st.integers(-4, 4)), max_size=8),
+        st.sampled_from([QQ, PrimeField(7)]),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_reduce_full_prebuilt_table(self, items, field):
+        o = TermOrder("grevlex", (2, 3, 1))
+        f = P(3, items, field)
+        basis = [
+            P(3, [((2, 0, 0), 1), ((0, 1, 1), 3)], field),
+            P(3, [((0, 2, 0), 1), ((1, 0, 0), -1)], field),
+            SparsePoly.zero(3, field),
+            P(3, [((1, 1, 1), 2), ((0, 0, 2), 1)], field),
+        ]
+        want = reduce_full(f, basis, o)
+        assert reduce_full(f, None, o, table=lead_table(basis, o)) == want
 
     def test_expand_last_variable(self):
         # f = x1 * y^2 in 2 vars, expanded into 3 vars: x1*(x2+x3)^2

@@ -380,6 +380,14 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("verification failure:")
 
+    def test_huge_prime_modulus(self, capsys):
+        argv = ["rank", "--n", "3", "--m", "2", "--d", "1", "--format", "text"]
+        code, out, _ = invoke(argv + ["--p", "1000000000000000003"], capsys)
+        assert (code, out) == (0, "rank 3 expected 3: maximal\n")
+        code, out, err = invoke(argv + ["--p", str(10**25 + 13)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_empty_grid_trivially_passes(self, capsys):
         code, out, _ = invoke(
             ["verify", "--n-max", "0", "--format", "text"], capsys
@@ -394,6 +402,15 @@ class TestVerifyAll:
         assert report["ok"] is True
         assert report["passed"] == len(report["cases"]) == 4
         assert all(row["gb_grlex"] for row in report["cases"])
+
+    def test_thread_count_clamped_to_cores(self, monkeypatch):
+        monkeypatch.setattr(cli_module.os, "cpu_count", lambda: 4)
+        for raw, want in (("1000000", 4), ("3", 3), ("0", 1), ("-5", 1)):
+            monkeypatch.setenv("ACI_GB_THREADS", raw)
+            assert cli_module._thread_count() == want
+        monkeypatch.setattr(cli_module.os, "cpu_count", lambda: None)
+        monkeypatch.setenv("ACI_GB_THREADS", "8")
+        assert cli_module._thread_count() == 1
 
     def test_bad_thread_setting(self, monkeypatch):
         monkeypatch.setenv("ACI_GB_THREADS", "many")

@@ -1,14 +1,17 @@
 """Buchberger oracle and modular rank tests."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from acigb.algebra import (
     QQ,
     SparsePoly,
+    TermOrder,
     grevlex,
     grlex,
+    linear_power,
     poly_to_text,
 )
 from acigb.closed_form import reduced_gb
@@ -28,10 +31,10 @@ from acigb.oracle import (
 GOLDEN = (4, (3, 2, 2, 3), 2)
 
 
-def small_grid():
+def small_grid(k_max=3):
     for n in range(1, 4):
         for m in itertools.product((2, 3, 4), repeat=n):
-            for k in range(1, 4):
+            for k in range(1, k_max + 1):
                 yield n, m, k
 
 
@@ -75,6 +78,29 @@ class TestBuchberger:
         low = lambda basis: {g for g in basis if g.degree() <= cap}
         assert low(capped) == low(full)
 
+    def test_degree_cap_refused_on_inhomogeneous_input(self):
+        gens = [SparsePoly.from_terms(2, [((2, 0), 1), ((0, 1), 1)])]
+        with pytest.raises(ValueError, match="homogeneous"):
+            buchberger(gens, OracleConfig(order=grevlex(2), degree_cap=3))
+        assert buchberger(gens, OracleConfig(order=grevlex(2))) == tuple(gens)
+
+    def test_generator_order_does_not_matter(self):
+        # the pair heap breaks lcm ties by index, so permuting the input
+        # changes which pairs run first but never the reduced basis
+        for n, m, k, order in (
+            (3, (3, 2, 4), 2, grevlex(3)),
+            (3, (4, 4, 3), 3, grlex(3)),
+            (4, (2, 3, 2, 3), 2, TermOrder("grevlex", (3, 1, 4, 2))),
+        ):
+            cfg = OracleConfig(order=order)
+            gens = power_sum_generators(n, m, k)
+            gens.append(linear_power(n, 2, 2))
+            want = set(buchberger(gens, cfg))
+            for shift in range(1, len(gens)):
+                rotated = gens[shift:] + gens[:shift]
+                for reordered in (rotated, rotated[::-1]):
+                    assert set(buchberger(reordered, cfg)) == want, (n, m, k)
+
     def test_modular_basis_verifies(self):
         cfg = OracleConfig(order=grevlex(3), p=7)
         gens = power_sum_generators(3, (3, 2, 3), 2, cfg.field)
@@ -97,6 +123,34 @@ class TestBuchberger:
         assert verify_is_gb(basis, gens, cfg)
         lms = {g.leading_term(cfg.order)[0] for g in basis}
         assert (0, 2, 0) in lms
+
+
+class TestThirdEngine:
+    """Both engines against sympy, which shares no arithmetic with acigb."""
+
+    def test_full_bases_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for n, m, k in small_grid(k_max=4):
+            xs = sympy.symbols(f"x1:{n + 1}")
+            gens = [x**e for x, e in zip(xs, m)] + [sum(xs) ** k]
+            for order in (grevlex(n), grlex(n)):
+                ref = sympy.groebner(gens, *xs, order=order.kind, domain="QQ")
+                want = {
+                    tuple(
+                        sorted(
+                            (mono, Fraction(int(c.p), int(c.q)))
+                            for mono, c in g.terms()
+                        )
+                    )
+                    for g in ref.polys
+                }
+                cfg = OracleConfig(order=order)
+                for basis in (
+                    reduced_gb(n, m, k, kind=order.kind),
+                    oracle_reduced_gb(n, m, k, cfg),
+                ):
+                    got = {g.monic(order).fingerprint() for g in basis.elements}
+                    assert got == want, (n, m, k, order.kind)
 
 
 class TestVerifyIsGb:
