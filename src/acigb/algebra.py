@@ -228,6 +228,41 @@ def check_degree_vector(m: Iterable[int]) -> tuple:
     return m
 
 
+def compositions(total: int, caps) -> Iterator[tuple]:
+    """Weak compositions of total with part i at most caps[i].
+
+    Yields in grevlex-descending order, read as monomials of degree total:
+    the last part grows slowest, then the one before it, and so on.  A part
+    is only tried when the parts before it have room for the rest.
+    """
+    caps = tuple(caps)
+    room = [0]  # room[i]: the most the first i parts can hold
+    for c in caps:
+        room.append(room[-1] + c)
+
+    def rec(i, rest, suffix):
+        # parts i.. are fixed in suffix; the room check leaves part 0 = rest
+        if i == 1:
+            yield (rest,) + suffix
+            return
+        for e in range(max(0, rest - room[i - 1]), min(rest, caps[i - 1]) + 1):
+            yield from rec(i - 1, rest - e, (e,) + suffix)
+
+    if not caps:
+        if total == 0:
+            yield ()
+    elif 0 <= total <= room[-1]:
+        yield from rec(len(caps), total, ())
+
+
+def enumerate_m_free(n: int, m, d: int) -> list:
+    """All m-free monomials of total degree d, sorted descending in grevlex."""
+    m = check_degree_vector(m) if n else tuple(m)
+    if len(m) != n:
+        raise ValueError("degree vector length must equal n")
+    return list(compositions(d, [mi - 1 for mi in m]))
+
+
 # ---------------------------------------------------------------------------
 # term orders
 
@@ -426,20 +461,6 @@ def variable(n: int, i: int, field: Field = QQ) -> SparsePoly:
     return SparsePoly.monomial(n, mono, field)
 
 
-def compositions(total: int, parts: int) -> Iterator[tuple]:
-    """All weak compositions of total into the given number of parts."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def linear_power(n: int, lo: int, e: int, field: Field = QQ) -> SparsePoly:
     """(x_lo + x_{lo+1} + ... + x_n)**e expanded with multinomials."""
     width = n - lo + 1
@@ -451,7 +472,7 @@ def linear_power(n: int, lo: int, e: int, field: Field = QQ) -> SparsePoly:
         n,
         (
             ((0,) * (lo - 1) + comp, multinomial(e, comp))
-            for comp in compositions(e, width)
+            for comp in compositions(e, (e,) * width)
         ),
         field,
     )

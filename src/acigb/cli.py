@@ -187,16 +187,21 @@ def write_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
     partial file and a crash leaves any previous version intact."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".acigb-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".acigb-")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+        if isinstance(exc, OSError) and exc.errno is not None:
+            # the temp file is an internal detail: name only the target
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -457,7 +462,9 @@ def _cmd_render(cfg: RunConfig) -> str:
     line = ReflectionLine.build(cfg.n, cfg.m, cfg.k)
     heights = path_from_monomial(cfg.monomial)
     if not is_admissible(heights, cfg.m):
-        raise ValueError("--s must be m-free: every exponent below its bound")
+        raise ValueError(
+            "--s must be m-free: every exponent at least 0 and below its bound"
+        )
     image = None
     if cfg.reflect:
         image = reflect(heights, line)

@@ -16,11 +16,14 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra import (
+    LT,
     QQ,
     SparsePoly,
     TermOrder,
     binom,
     check_degree_vector,
+    compositions,
+    enumerate_m_free,
     grevlex,
     is_m_free,
     linear_power,
@@ -32,12 +35,9 @@ from .algebra import (
 from .initial_ideal import (
     MonomialIdeal,
     critical_sets,
-    enumerate_m_free,
     minimal_generators,
     pure_power_removed,
 )
-
-LT = -1
 
 
 def _check_generator_shape(s, j: int, m, k: int, n_total: int) -> None:
@@ -52,21 +52,14 @@ def _check_generator_shape(s, j: int, m, k: int, n_total: int) -> None:
         raise ValueError(f"{s} is not critical: x_{j} exponent must be {expected}")
 
 
-def build_gs_divisor_form(s, j: int, m, k: int, n_total: int) -> SparsePoly:
-    """Basis element for s as a divisor sum.
+def _divisor_weights(s, j: int, m):
+    """(s'', deg(s) - deg(s''), lambda_{s''}) for every divisor s'' of the
+    head s_1 ... s_{j-1} whose weight is nonzero.
 
-    g_s = sum over s'' | s/x_j^{s_j} of
-        lambda_{s''} * s'' * (x_j + ... + x_n)^{deg(s) - deg(s'')},
-    with the expansion reduced modulo the pure powers x_j^{m_j}, ..., x_n^{m_n}.
     The weight multiplies s_i!/s''_i! * C(m_i - s''_i - 1, s_i - s''_i) over
     i < j with s_j!/(deg(s) - deg(s''))!.
     """
-    m = check_degree_vector(m)
-    _check_generator_shape(s, j, m, k, n_total)
-    s = tuple(s)
     d = mono_degree(s)
-    width = n_total - j + 1
-    terms: dict = {}
     for sdd in itertools.product(*(range(si + 1) for si in s[: j - 1])):
         e = d - sum(sdd)
         num = factorial(s[j - 1])
@@ -74,25 +67,29 @@ def build_gs_divisor_form(s, j: int, m, k: int, n_total: int) -> SparsePoly:
             num *= (factorial(s[i]) // factorial(sdd[i])) * binom(
                 m[i] - sdd[i] - 1, s[i] - sdd[i]
             )
-        if num == 0:
-            continue
-        lam = Fraction(num, factorial(e))
+        if num:
+            yield sdd, e, Fraction(num, factorial(e))
+
+
+def build_gs_divisor_form(s, j: int, m, k: int, n_total: int) -> SparsePoly:
+    """Basis element for s as a divisor sum.
+
+    g_s = sum over s'' | s/x_j^{s_j} of
+        lambda_{s''} * s'' * (x_j + ... + x_n)^{deg(s) - deg(s'')},
+    with the expansion reduced modulo the pure powers x_j^{m_j}, ..., x_n^{m_n}
+    and the weights lambda_{s''} of ``_divisor_weights``.
+    """
+    m = check_degree_vector(m)
+    _check_generator_shape(s, j, m, k, n_total)
+    s = tuple(s)
+    caps = [mi - 1 for mi in m[j - 1 :]]
+    terms: dict = {}
+    for sdd, e, lam in _divisor_weights(s, j, m):
         # expand (x_j + ... + x_n)^e, dropping monomials the pure powers kill
-        for comp in _compositions_below(e, width, m[j - 1 :]):
+        for comp in compositions(e, caps):
             mono = sdd + comp
-            c = terms.get(mono, Fraction(0)) + lam * multinomial(e, comp)
-            terms[mono] = c
+            terms[mono] = terms.get(mono, Fraction(0)) + lam * multinomial(e, comp)
     return SparsePoly.from_terms(n_total, terms.items(), QQ)
-
-
-def _compositions_below(total: int, parts: int, caps) -> list:
-    if parts == 0:
-        return [()] if total == 0 else []
-    out = []
-    for head in range(min(total, caps[0] - 1), -1, -1):
-        for rest in _compositions_below(total - head, parts - 1, caps[1:]):
-            out.append((head,) + rest)
-    return out
 
 
 def build_gs_tail_form(
@@ -169,24 +166,6 @@ def _certificate_frame(s, m, k: int):
     return n, m_x
 
 
-def _gs_in_y_frame(s, m_x, k: int) -> SparsePoly:
-    # Divisor sum with a single stand-in variable y for the trailing block;
-    # no reduction applies to y.
-    n = len(s)
-    d = mono_degree(s)
-    terms: dict = {}
-    for sdd in itertools.product(*(range(si + 1) for si in s[: n - 1])):
-        e = d - sum(sdd)
-        num = factorial(s[n - 1])
-        for i in range(n - 1):
-            num *= (factorial(s[i]) // factorial(sdd[i])) * binom(
-                m_x[i] - sdd[i] - 1, s[i] - sdd[i]
-            )
-        if num:
-            terms[sdd + (e,)] = Fraction(num, factorial(e))
-    return SparsePoly.from_terms(n, terms.items(), QQ)
-
-
 def build_certificate(s, m, k: int) -> Certificate:
     """Companion polynomial f_s with one term per divisor of the complement.
 
@@ -227,9 +206,14 @@ def verify_certificate(cert: Certificate, m) -> bool:
     """Check g_s == f_s * ell^k modulo the pure powers on x_1..x_{n-1}."""
     n, m_x = _certificate_frame(cert.s, m, cert.k)
     product = cert.f_s.mul(linear_power(n, 1, cert.k, QQ))
-    return normal_form_pure_powers(product, m_x) == _gs_in_y_frame(
-        cert.s, m_x, cert.k
+    # g_s with a single stand-in variable y for the trailing block, which no
+    # pure power reduces
+    g_s = SparsePoly.from_terms(
+        n,
+        ((sdd + (e,), lam) for sdd, e, lam in _divisor_weights(cert.s, n, m_x)),
+        QQ,
     )
+    return normal_form_pure_powers(product, m_x) == g_s
 
 
 def counting_identity(p, q, r) -> bool:
@@ -307,6 +291,8 @@ def reduced_gb(n: int, m, k: int, ranking=None, kind: str = "grevlex") -> Groebn
         raise ValueError("degree vector length must equal n")
     if ranking is None:
         ranking = tuple(range(1, n + 1))
+    if len(ranking) != n:
+        raise ValueError(f"ranking must permute 1..{n}, got {tuple(ranking)}")
     order = TermOrder(kind, tuple(ranking))
     m_perm = tuple(m[r - 1] for r in order.ranking)
 

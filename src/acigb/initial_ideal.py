@@ -14,37 +14,14 @@ from dataclasses import dataclass
 
 from .algebra import (
     check_degree_vector,
+    compositions,
+    enumerate_m_free,
     grevlex,
     is_m_free,
     max_index,
     mono_divides,
 )
 from . import paths as _paths
-
-Mono = tuple
-
-
-def enumerate_m_free(n: int, m, d: int) -> list:
-    """All m-free monomials of total degree d, sorted descending in grevlex."""
-    m = check_degree_vector(m) if n else tuple(m)
-    if len(m) != n:
-        raise ValueError("degree vector length must equal n")
-    out: list = []
-
-    def rec(i: int, remaining: int, prefix: tuple):
-        if i == n:
-            if remaining == 0:
-                out.append(prefix)
-            return
-        tail_cap = sum(mi - 1 for mi in m[i + 1 :])
-        for e in range(min(remaining, m[i] - 1), -1, -1):
-            if remaining - e <= tail_cap:
-                rec(i + 1, remaining - e, prefix + (e,))
-
-    if d >= 0:
-        rec(0, d, ())
-    key = grevlex(n).key if n else (lambda mono: 0)
-    return sorted(out, key=key, reverse=True)
 
 
 def minimalize_monomials(gens) -> tuple:
@@ -111,7 +88,11 @@ def critical_sets(n: int, m, k: int) -> CriticalSets:
     if k < 1:
         raise ValueError("power must be at least 1")
     by_index = []
-    gens: list = []  # minimal generators at the current prefix length
+    # Minimal generators at the current prefix length.  They stay an
+    # antichain without a divisibility pass: the old ones have x_j-exponent
+    # 0, each new w*x_j^e has w outside them, a larger deg(w) forces a
+    # smaller e, and x_j^{m_j} is kept only when no x_j^e is critical.
+    gens: list = []
     d_prev = 0
     for j in range(1, n + 1):
         mj = m[j - 1]
@@ -125,9 +106,9 @@ def critical_sets(n: int, m, k: int) -> CriticalSets:
                 if not any(mono_divides(g, w) for g in gens):
                     crit_j.append(w + (e,))
         gens = [g + (0,) for g in gens]
-        gens.append((0,) * (j - 1) + (mj,))
+        if not pure_power_removed(m, k, j):
+            gens.append((0,) * (j - 1) + (mj,))
         gens.extend(crit_j)
-        gens = list(minimalize_monomials(gens))
         pad = n - j
         by_index.append(
             tuple(
@@ -287,16 +268,8 @@ def check_revlex_segment(n: int, m, k: int, ideal: MonomialIdeal | None = None) 
         if not is_m_free(s, m):
             continue
         d = sum(s)
-        for t in _all_monomials(n, d):
+        for t in compositions(d, (d,) * n):
             if order.cmp(t, s) == 1 and not ideal.contains(t):
                 return False
     return True
 
-
-def _all_monomials(n: int, d: int):
-    if n == 1:
-        yield (d,)
-        return
-    for e in range(d + 1):
-        for rest in _all_monomials(n - 1, d - e):
-            yield (e,) + rest

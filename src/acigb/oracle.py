@@ -20,6 +20,7 @@ from .algebra import (
     TermOrder,
     check_degree_vector,
     compositions,
+    enumerate_m_free,
     field_for,
     grevlex,
     lead_table,
@@ -33,11 +34,7 @@ from .algebra import (
     reduce_full,
 )
 from .closed_form import GroebnerBasis, sort_elements
-from .initial_ideal import (
-    MonomialIdeal,
-    enumerate_m_free,
-    minimalize_monomials,
-)
+from .initial_ideal import MonomialIdeal, minimalize_monomials
 
 
 @dataclass(frozen=True)
@@ -223,6 +220,8 @@ def gaussian_rank(rows: list, p: int) -> int:
 def multiplication_rank(n: int, m, p: int, d: int, e: int = 1) -> int:
     """Rank over F_p of multiplying degree-d classes of the pure-power
     quotient by (x_1 + ... + x_n)^e."""
+    if e < 1:
+        raise ValueError(f"multiplier power must be at least 1, got {e}")
     m = check_degree_vector(m)
     field_for(p)
     source = enumerate_m_free(n, m, d)
@@ -233,7 +232,7 @@ def multiplication_rank(n: int, m, p: int, d: int, e: int = 1) -> int:
     rows = []
     for u in source:
         row = [0] * len(target)
-        for comp in compositions(e, n):
+        for comp in compositions(e, (e,) * n):
             v = mono_mul(u, comp)
             idx = col.get(v)
             if idx is not None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import check_degree_vector, is_m_free, max_index
+from .algebra import check_degree_vector, enumerate_m_free
 
 Heights = tuple  # vertex heights b_0..b_n, b_0 = 0, plain integers
 
@@ -54,10 +54,14 @@ def monomial_from_path(heights: Heights) -> tuple:
 
 
 def is_admissible(heights: Heights, m) -> bool:
-    """Slopes must lie in {1, 0, -1, ..., 2 - m_i} and the path starts at 0."""
+    """Slopes must lie in {1, 0, -1, ..., 2 - m_i} and the path starts at 0.
+
+    Slope 1 - e on step i is in range iff 0 <= e <= m_i - 1, so the path
+    of a monomial with a negative exponent is not admissible either.
+    """
     if heights[0] != 0 or len(heights) != len(m) + 1:
         return False
-    return is_m_free(monomial_from_path(heights), m)
+    return all(0 <= e < mi for e, mi in zip(monomial_from_path(heights), m))
 
 
 def path_degree(heights: Heights) -> int:
@@ -114,8 +118,6 @@ def paired_degree(n: int, m, k: int, d: int) -> int:
 
 def critical_monomials(n: int, m, k: int, d: int) -> list:
     """All m-free monomials of degree d whose paths are critical."""
-    from .initial_ideal import enumerate_m_free
-
     line = ReflectionLine.build(n, m, k)
     return [
         s

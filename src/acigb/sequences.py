@@ -125,7 +125,7 @@ def _level_frame(prefix, m_n: int, k: int):
     if s_n >= m_n:
         return None
     e_max = min((m_n - 1 - s_n) // 2, delta)
-    series = hs_complete_intersection(prefix) if prefix else (1,)
+    series = hs_complete_intersection(prefix)
     return k + D - delta, e_max, delta, series
 
 
@@ -226,7 +226,7 @@ def max_gb_degree(n: int, m, k: int) -> int:
         s_q = k + D - 2 * delta
         if s_q >= m[q - 1]:
             continue
-        series = hs_complete_intersection(prefix) if prefix else (1,)
+        series = hs_complete_intersection(prefix)
         if hf(series, delta) - hf(series, delta - k) <= 0:
             continue
         return k + D - delta + min((m[q - 1] - 1 - s_q) // 2, delta)
@@ -321,7 +321,7 @@ def s_binom(n: int, d: int, s: int):
     """Coefficient of t^d in (1 + t + ... + t^s)^n."""
     if s < 1:
         raise ValueError("s must be positive")
-    series = hs_complete_intersection((s + 1,) * n) if n else (1,)
+    series = hs_complete_intersection((s + 1,) * n)
     return hf(series, d)
 
 

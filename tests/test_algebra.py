@@ -18,6 +18,7 @@ from acigb.algebra import (
     binom,
     clear_denominators,
     compositions,
+    enumerate_m_free,
     expand_last_variable,
     field_for,
     grevlex,
@@ -142,7 +143,30 @@ class TestMonoHelpers:
             multinomial(3, (1, 1))
 
     def test_compositions_count(self):
-        assert len(list(compositions(4, 3))) == binom(6, 2)
+        assert len(list(compositions(4, (4, 4, 4)))) == binom(6, 2)
+
+    def test_compositions_bounded_in_grevlex_descending_order(self):
+        for caps in [(1, 2, 3), (2, 2, 2, 2), (3, 0, 2), (4,), (1, 1)]:
+            key = grevlex(len(caps)).key
+            for total in range(-1, sum(caps) + 2):
+                got = list(compositions(total, caps))
+                brute = [
+                    c
+                    for c in itertools.product(*(range(ci + 1) for ci in caps))
+                    if sum(c) == total
+                ]
+                assert got == sorted(brute, key=key, reverse=True), (caps, total)
+
+    def test_compositions_no_parts(self):
+        assert list(compositions(0, ())) == [()]
+        assert list(compositions(2, ())) == []
+
+    def test_enumerate_m_free_is_the_bounded_enumerator(self):
+        m = (3, 2, 4)
+        for d in range(7):
+            assert enumerate_m_free(3, m, d) == list(compositions(d, (2, 1, 3)))
+        with pytest.raises(ValueError):
+            enumerate_m_free(2, m, 1)
 
 
 class TestPolyArithmetic:

@@ -300,6 +300,21 @@ class TestOutputFile:
         )
         assert code == 1
         assert err.startswith("error:")
+        assert ".acigb-" not in err
+        assert str(target) in err
+
+    def test_directory_target_names_only_the_target(self, tmp_path, capsys):
+        target = tmp_path / "outdir"
+        target.mkdir()
+        code, _, err = invoke(
+            ["gb", "--m", "3,3", "--k", "1", "--out", str(target)], capsys
+        )
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert ".acigb-" not in err
+        assert str(target) in err
+        assert list(target.iterdir()) == []
+        assert not list(tmp_path.glob(".acigb-*"))
 
 
 class TestConfigFile:
@@ -388,6 +403,26 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_ranking_of_wrong_length(self, capsys):
+        code, out, err = invoke(
+            ["gb", "--m", "3,3", "--k", "1", "--ranking", "2,1,3"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "ranking" in err
+
+    def test_rank_refuses_power_below_one(self, capsys):
+        for n in ("1", "2"):
+            for e in ("-1", "0"):
+                code, out, err = invoke(
+                    ["rank", "--n", n, "--m", "3", "--p", "5", "--d", "1",
+                     f"--e={e}"],
+                    capsys,
+                )
+                assert (code, out) == (1, ""), (n, e)
+                assert err.startswith("error:") and err.count("\n") == 1
+                assert "power" in err and e in err
+
     def test_empty_grid_trivially_passes(self, capsys):
         code, out, _ = invoke(
             ["verify", "--n-max", "0", "--format", "text"], capsys
@@ -470,3 +505,9 @@ class TestRender:
         )
         assert code == 1
         assert "m-free" in err
+        # a negative exponent lies outside the bounds as well
+        code, out, err = invoke(
+            ["render", "--m", "3,3", "--k", "1", "--s=-1,0"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert "m-free" in err and err.count("\n") == 1

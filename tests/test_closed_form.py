@@ -218,6 +218,11 @@ class TestReducedBasis:
             frozenset(g.terms.items()) for g in gb.elements
         } == relabeled
 
+    def test_ranking_must_cover_every_variable(self):
+        for ranking in [(2, 1, 3), (1,)]:
+            with pytest.raises(ValueError, match="ranking"):
+                reduced_gb(2, (3, 3), 1, ranking=ranking)
+
     def test_leading_monomials_match_minimal_generators(self):
         for n, m, k in [(3, (3, 3, 3), 1), GOLDEN[:3], (3, (2, 3, 4), 2)]:
             gb = reduced_gb(n, m, k)

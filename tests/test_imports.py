@@ -1,0 +1,71 @@
+"""The modules of the package import each other without a cycle.
+
+Imports are read from the source with ``ast``, so an import inside a
+function body counts as much as one at module level.
+"""
+
+import ast
+import graphlib
+from pathlib import Path
+
+import acigb
+
+PACKAGE = Path(acigb.__file__).parent
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
+
+
+def package_imports(source: str) -> set:
+    """Names of the package modules that a source text imports anywhere."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("acigb"):
+                continue
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:
+                # from . import paths
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "acigb" and len(parts) > 1:
+                    found.add(parts[1])
+    return found & MODULES
+
+
+def import_graph() -> dict:
+    return {
+        path.stem: package_imports(path.read_text()) - {path.stem}
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+
+
+def test_reader_sees_every_import_form():
+    source = (
+        "import acigb.hilbert\n"
+        "from acigb.algebra import QQ\n"
+        "from . import paths as _paths\n"
+        "from .oracle import buchberger\n"
+        "import os\n"
+        "def f():\n"
+        "    from .initial_ideal import enumerate_m_free\n"
+    )
+    assert package_imports(source) == {
+        "hilbert", "algebra", "paths", "oracle", "initial_ideal"
+    }
+
+
+def test_package_import_graph_is_acyclic():
+    graph = import_graph()
+    # the edges the layering rests on are really read
+    assert "paths" in graph["initial_ideal"]
+    assert "closed_form" in graph["oracle"]
+    try:
+        order = tuple(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        raise AssertionError(f"import cycle: {exc.args[1]}") from None
+    assert set(order) == MODULES

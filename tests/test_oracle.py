@@ -251,6 +251,11 @@ class TestMultiplicationRank:
         with pytest.raises(ValueError):
             multiplication_rank(3, (2, 2, 2), 6, 1, 1)
 
+    def test_rejects_power_below_one(self):
+        for n, e in [(1, -1), (2, -1), (2, 0)]:
+            with pytest.raises(ValueError, match="power"):
+                multiplication_rank(n, (3,) * n, 5, 1, e)
+
 
 class TestSpoly:
     def test_cancels_leading_terms(self):

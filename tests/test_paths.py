@@ -85,6 +85,8 @@ class TestEncoding:
     def test_inadmissible_when_exponent_hits_bound(self):
         h = path_from_monomial((3, 0))
         assert not is_admissible(h, (3, 2))
+        # a negative exponent gives slope 2 on its step
+        assert not is_admissible(path_from_monomial((-1, 0)), (3, 3))
 
 
 class TestReflection:
