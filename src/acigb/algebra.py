@@ -217,10 +217,6 @@ def is_m_free(mono: Mono, m: tuple) -> bool:
     return all(e < mi for e, mi in zip(mono, m))
 
 
-def unit_mono(n: int) -> Mono:
-    return (0,) * n
-
-
 def check_degree_vector(m: Iterable[int]) -> tuple:
     m = tuple(int(v) for v in m)
     if any(v < 2 for v in m):

@@ -17,7 +17,9 @@ One executable, nine subcommands:
 Exponent vectors are written as a comma list (``--m 3,2,2,3``), as
 ``eq:M:N`` for M repeated N times, or as a bare integer when ``--n`` fixes
 the length.  A JSON config file (``--config``) may supply any long option
-under its flag name; explicit flags win.  Output goes to stdout, or with
+under its flag name; explicit flags win.  A valued option takes a JSON string
+or integer there, a switch (``--census``, ``--reflect``) takes true or false;
+any other value is refused.  Output goes to stdout, or with
 ``--out`` to a file written atomically (temp file, then rename).
 
 Outputs are deterministic: identical configuration yields identical bytes.
@@ -37,6 +39,8 @@ import json
 import os
 import sys
 import tempfile
+from collections import namedtuple
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,47 +83,10 @@ from .sequences import (
 )
 from .wlp import wlp_decide
 
-__all__ = ["RunConfig", "dispatch", "main", "verify_all"]
+__all__ = ["main", "verify_all"]
 
 
 SEQ_FAMILIES = ("g", "motzkin", "riordan", "catalan", "s-catalan", "spin")
-
-FORMATS = {
-    "gb": ("json", "text", "m2"),
-    "init": ("json", "text"),
-    "crit": ("json", "text"),
-    "hilbert": ("json", "text"),
-    "seq": ("text", "json", "csv"),
-    "wlp": ("json", "text"),
-    "rank": ("json", "text"),
-    "verify": ("text", "json"),
-    "render": ("ascii", "svg"),
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a single invocation needs, already validated."""
-
-    subcommand: str
-    n: int | None = None
-    m: tuple | None = None
-    k: int | None = None
-    ranking: tuple | None = None
-    kind: str = "grevlex"
-    format: str = "json"
-    out: str | None = None
-    grid: tuple = (4, 4, 4)
-    p: int | None = None
-    d: int | None = None
-    e: int = 1
-    family: str | None = None
-    m_text: str | None = None
-    max: int | None = None
-    routes: tuple | None = None
-    monomial: tuple | None = None
-    reflect: bool = False
-    census: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +102,14 @@ def _int(value, flag: str) -> int:
 
 def _int_list(text, flag: str) -> tuple:
     return tuple(_int(part, flag) for part in str(text).split(","))
+
+
+def _text(value, flag: str) -> str:
+    return str(value)
+
+
+def _routes(text, flag: str) -> tuple:
+    return tuple(part.strip() for part in str(text).split(",") if part.strip())
 
 
 def parse_m(spec, n=None):
@@ -205,25 +180,16 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        write_atomic(out, text)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# Every handler returns (text, ok); only verify can come out not ok, which
+# exits 2 after the report is written.
 
 
-def _order_for(cfg: RunConfig) -> TermOrder:
-    ranking = cfg.ranking if cfg.ranking is not None else tuple(range(1, cfg.n + 1))
-    return TermOrder(cfg.kind, ranking)
-
-
-def _cmd_gb(cfg: RunConfig) -> str:
-    basis = reduced_gb(cfg.n, cfg.m, cfg.k, ranking=cfg.ranking, kind=cfg.kind)
-    if cfg.format == "json":
+def _cmd_gb(ns: argparse.Namespace) -> tuple:
+    basis = reduced_gb(ns.n, ns.m, ns.k, ranking=ns.ranking, kind=ns.order)
+    if ns.format == "json":
         return _dumps(
             {
                 "n": basis.n,
@@ -235,81 +201,81 @@ def _cmd_gb(cfg: RunConfig) -> str:
                 },
                 "elements": [poly_to_json(g, basis.order) for g in basis.elements],
             }
-        )
+        ), True
     lines = [poly_to_text(g, basis.order) for g in basis.elements]
-    if cfg.format == "text":
-        return "\n".join(lines) + "\n"
-    return "{\n  " + ",\n  ".join(lines) + "\n}\n"
+    if ns.format == "text":
+        return "\n".join(lines) + "\n", True
+    return "{\n  " + ",\n  ".join(lines) + "\n}\n", True
 
 
-def _cmd_init(cfg: RunConfig) -> str:
-    ideal = minimal_generators(cfg.n, cfg.m, cfg.k)
-    order = grevlex(cfg.n)
+def _cmd_init(ns: argparse.Namespace) -> tuple:
+    ideal = minimal_generators(ns.n, ns.m, ns.k)
+    order = grevlex(ns.n)
     gens = sorted(ideal.min_gens, key=order.key, reverse=True)
-    if cfg.format == "json":
+    if ns.format == "json":
         return _dumps(
             {
-                "n": cfg.n,
-                "m": list(cfg.m),
-                "k": cfg.k,
+                "n": ns.n,
+                "m": list(ns.m),
+                "k": ns.k,
                 "min_gens": [list(g) for g in gens],
             }
-        )
-    return "\n".join(mono_to_text(g) for g in gens) + "\n"
+        ), True
+    return "\n".join(mono_to_text(g) for g in gens) + "\n", True
 
 
-def _cmd_crit(cfg: RunConfig) -> str:
-    sets = critical_sets(cfg.n, cfg.m, cfg.k)
-    order = grevlex(cfg.n)
+def _cmd_crit(ns: argparse.Namespace) -> tuple:
+    sets = critical_sets(ns.n, ns.m, ns.k)
+    order = grevlex(ns.n)
     pure = [
-        tuple(cfg.m[j - 1] if i == j - 1 else 0 for i in range(cfg.n))
-        for j in range(1, cfg.n + 1)
-        if not pure_power_removed(cfg.m, cfg.k, j)
+        tuple(ns.m[j - 1] if i == j - 1 else 0 for i in range(ns.n))
+        for j in range(1, ns.n + 1)
+        if not pure_power_removed(ns.m, ns.k, j)
     ]
     groups = [
         sorted(group, key=order.key, reverse=True) for group in sets.by_index
     ]
-    if cfg.format == "json":
+    if ns.format == "json":
         return _dumps(
             {
-                "n": cfg.n,
-                "m": list(cfg.m),
-                "k": cfg.k,
+                "n": ns.n,
+                "m": list(ns.m),
+                "k": ns.k,
                 "pure_powers": [list(g) for g in pure],
                 "crit": {
                     str(j): [list(s) for s in group]
                     for j, group in enumerate(groups, start=1)
                 },
             }
-        )
+        ), True
     lines = ["pure powers: " + (", ".join(mono_to_text(g) for g in pure) or "-")]
     for j, group in enumerate(groups, start=1):
         body = ", ".join(mono_to_text(s) for s in group) or "-"
         lines.append(f"crit {j}: {body}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", True
 
 
-def _cmd_hilbert(cfg: RunConfig) -> str:
-    series = hs_complete_intersection(cfg.m)
-    quotient = truncate_lefschetz(series, cfg.k)
-    socle_D, delta = socle_degrees(cfg.m, cfg.k)
-    if cfg.format == "json":
+def _cmd_hilbert(ns: argparse.Namespace) -> tuple:
+    series = hs_complete_intersection(ns.m)
+    quotient = truncate_lefschetz(series, ns.k)
+    socle_D, delta = socle_degrees(ns.m, ns.k)
+    if ns.format == "json":
         return _dumps(
             {
-                "m": list(cfg.m),
-                "k": cfg.k,
+                "m": list(ns.m),
+                "k": ns.k,
                 "hs_P": list(series),
                 "hs_quotient": list(quotient),
                 "D": socle_D,
                 "delta": delta,
             }
-        )
+        ), True
     return (
         "hs_P: " + " ".join(str(c) for c in series) + "\n"
         "hs_quotient: " + " ".join(str(c) for c in quotient) + "\n"
         f"D: {socle_D}\n"
         f"delta: {delta}\n"
-    )
+    ), True
 
 
 def _require(value, flag: str, family: str):
@@ -325,13 +291,12 @@ def _single_int_m(text, family: str) -> int:
     return values[0]
 
 
-def _seq_payload(cfg: RunConfig) -> dict:
-    family = cfg.family
+def _seq_payload(ns: argparse.Namespace) -> dict:
+    family = ns.family
     if family == "g":
-        mspec = parse_mspec(_require(cfg.m_text, "--m", family))
-        k = _require(cfg.k, "--k", family)
-        top = _require(cfg.max, "--max", family)
-        values = gb_degree_sequence(mspec, k, top).values
+        mspec = parse_mspec(_require(ns.m, "--m", family))
+        k = _require(ns.k, "--k", family)
+        values = gb_degree_sequence(mspec, k, ns.max).values
         return {
             "family": "g",
             "m": {"prefix": list(mspec.prefix), "tail": mspec.tail},
@@ -339,16 +304,14 @@ def _seq_payload(cfg: RunConfig) -> dict:
             "values": [[d, c] for d, c in values],
         }
     if family in ("motzkin", "riordan", "catalan"):
-        top = _require(cfg.max, "--max", family)
         fn = {"motzkin": motzkin, "riordan": riordan, "catalan": catalan}[family]
         return {
             "family": family,
-            "values": [[i, fn(i)] for i in range(top + 1)],
+            "values": [[i, fn(i)] for i in range(ns.max + 1)],
         }
     if family == "s-catalan":
-        m_val = _single_int_m(_require(cfg.m_text, "--m", family), family)
-        top = _require(cfg.max, "--max", family)
-        triangle = s_catalan_triangle(m_val, top)
+        m_val = _single_int_m(_require(ns.m, "--m", family), family)
+        triangle = s_catalan_triangle(m_val, ns.max)
         return {
             "family": "s-catalan",
             "m": m_val,
@@ -356,14 +319,13 @@ def _seq_payload(cfg: RunConfig) -> dict:
             "rows": [list(row) for row in triangle.rows],
         }
     if family == "spin":
-        m_val = _single_int_m(_require(cfg.m_text, "--m", family), family)
-        top = _require(cfg.max, "--max", family)
+        m_val = _single_int_m(_require(ns.m, "--m", family), family)
         sigma = Fraction(m_val - 1, 2)
         return {
             "family": "spin",
             "m": m_val,
             "sigma": coeff_to_str(sigma),
-            "values": [[i, spin_catalan_degeneracy(sigma, i)] for i in range(top + 1)],
+            "values": [[i, spin_catalan_degeneracy(sigma, i)] for i in range(ns.max + 1)],
         }
     raise ValueError(f"unknown family {family!r}; pick one of {', '.join(SEQ_FAMILIES)}")
 
@@ -376,28 +338,29 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _cmd_seq(cfg: RunConfig) -> str:
-    payload = _seq_payload(cfg)
-    if cfg.format == "json":
-        return _dumps(payload)
+def _cmd_seq(ns: argparse.Namespace) -> tuple:
+    payload = _seq_payload(ns)
+    if ns.format == "json":
+        return _dumps(payload), True
     if payload["family"] == "s-catalan":
-        if cfg.format == "csv":
+        if ns.format == "csv":
             rows = [
                 (i, j, v)
                 for i, row in enumerate(payload["rows"])
                 for j, v in enumerate(row)
             ]
-            return _csv_text(("n", "k", "value"), rows)
-        return "\n".join(" ".join(str(v) for v in row) for row in payload["rows"]) + "\n"
+            return _csv_text(("n", "k", "value"), rows), True
+        text = "\n".join(" ".join(str(v) for v in row) for row in payload["rows"])
+        return text + "\n", True
     header = ("degree", "count") if payload["family"] == "g" else ("index", "value")
-    if cfg.format == "csv":
-        return _csv_text(header, payload["values"])
-    return " ".join(str(v) for _, v in payload["values"]) + "\n"
+    if ns.format == "csv":
+        return _csv_text(header, payload["values"]), True
+    return " ".join(str(v) for _, v in payload["values"]) + "\n", True
 
 
-def _cmd_wlp(cfg: RunConfig) -> str:
-    verdict = wlp_decide(cfg.n, cfg.m, cfg.p, routes=cfg.routes)
-    if cfg.format == "json":
+def _cmd_wlp(ns: argparse.Namespace) -> tuple:
+    verdict = wlp_decide(ns.n, ns.m, ns.p, routes=ns.routes)
+    if ns.format == "json":
         return _dumps(
             {
                 "n": verdict.n,
@@ -416,7 +379,7 @@ def _cmd_wlp(cfg: RunConfig) -> str:
                 ],
                 "explanation": verdict.explanation,
             }
-        )
+        ), True
     m_text = ",".join(str(v) for v in verdict.m)
     lines = [
         f"n={verdict.n} m={m_text} p={verdict.p}",
@@ -428,51 +391,47 @@ def _cmd_wlp(cfg: RunConfig) -> str:
         lines.append(f"{f.route}: {'holds' if f.holds else 'fails'}{tail}")
     if verdict.explanation:
         lines.append(f"note: {verdict.explanation}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", True
 
 
-def _cmd_rank(cfg: RunConfig) -> str:
-    if cfg.d is None:
-        raise ValueError("rank needs --d")
-    series = hs_complete_intersection(cfg.m)
-    expected = min(hf(series, cfg.d), hf(series, cfg.d + cfg.e))
-    rank = multiplication_rank(cfg.n, cfg.m, cfg.p, cfg.d, e=cfg.e)
-    if cfg.format == "json":
+def _cmd_rank(ns: argparse.Namespace) -> tuple:
+    series = hs_complete_intersection(ns.m)
+    expected = min(hf(series, ns.d), hf(series, ns.d + ns.e))
+    rank = multiplication_rank(ns.n, ns.m, ns.p, ns.d, e=ns.e)
+    if ns.format == "json":
         return _dumps(
             {
-                "n": cfg.n,
-                "m": list(cfg.m),
-                "p": cfg.p,
-                "d": cfg.d,
-                "e": cfg.e,
+                "n": ns.n,
+                "m": list(ns.m),
+                "p": ns.p,
+                "d": ns.d,
+                "e": ns.e,
                 "rank": rank,
                 "expected": expected,
                 "maximal": rank == expected,
             }
-        )
+        ), True
     verdict = "maximal" if rank == expected else "NOT maximal"
-    return f"rank {rank} expected {expected}: {verdict}\n"
+    return f"rank {rank} expected {expected}: {verdict}\n", True
 
 
-def _cmd_render(cfg: RunConfig) -> str:
-    if cfg.monomial is None:
-        raise ValueError("render needs --s, the exponents of the monomial")
-    if len(cfg.monomial) != cfg.n:
+def _cmd_render(ns: argparse.Namespace) -> tuple:
+    if len(ns.s) != ns.n:
         raise ValueError("--s must list one exponent per variable")
-    line = ReflectionLine.build(cfg.n, cfg.m, cfg.k)
-    heights = path_from_monomial(cfg.monomial)
-    if not is_admissible(heights, cfg.m):
+    line = ReflectionLine.build(ns.n, ns.m, ns.k)
+    heights = path_from_monomial(ns.s)
+    if not is_admissible(heights, ns.m):
         raise ValueError(
             "--s must be m-free: every exponent at least 0 and below its bound"
         )
     image = None
-    if cfg.reflect:
+    if ns.reflect:
         image = reflect(heights, line)
         if image is None:
             raise ValueError("path never touches the line, nothing to reflect")
-    if cfg.format == "svg":
-        return render_svg(heights, line, reflected=image)
-    return render_ascii(heights, line, reflected=image)
+    if ns.format == "svg":
+        return render_svg(heights, line, reflected=image), True
+    return render_ascii(heights, line, reflected=image), True
 
 
 # ---------------------------------------------------------------------------
@@ -545,30 +504,99 @@ def verify_all(grid, census: bool = False) -> dict:
     }
 
 
-def _cmd_verify(cfg: RunConfig):
-    report = verify_all(cfg.grid, census=cfg.census)
-    if cfg.format == "json":
-        text = _dumps(report)
-    else:
-        lines = []
-        for row in report["cases"]:
-            m_text = ",".join(str(v) for v in row["m"])
-            cells = [
-                f"n={row['n']} m={m_text} k={row['k']}",
-                "gb[grevlex]=" + ("ok" if row["gb_grevlex"] else "FAIL"),
-                "gb[grlex]=" + ("ok" if row["gb_grlex"] else "FAIL"),
-                "hilbert=" + ("ok" if row["hilbert"] else "FAIL"),
-            ]
-            if cfg.census:
-                cells.append(f"census={row['census']}")
-            lines.append("  ".join(cells))
-        lines.append(f"passed {report['passed']} of {len(report['cases'])}")
-        text = "\n".join(lines) + "\n"
-    return text, report["ok"]
+def _cmd_verify(ns: argparse.Namespace) -> tuple:
+    report = verify_all((ns.n_max, ns.m_max, ns.k_max), census=ns.census)
+    if ns.format == "json":
+        return _dumps(report), report["ok"]
+    lines = []
+    for row in report["cases"]:
+        m_text = ",".join(str(v) for v in row["m"])
+        cells = [
+            f"n={row['n']} m={m_text} k={row['k']}",
+            "gb[grevlex]=" + ("ok" if row["gb_grevlex"] else "FAIL"),
+            "gb[grlex]=" + ("ok" if row["gb_grlex"] else "FAIL"),
+            "hilbert=" + ("ok" if row["hilbert"] else "FAIL"),
+        ]
+        if ns.census:
+            cells.append(f"census={row['census']}")
+        lines.append("  ".join(cells))
+    lines.append(f"passed {report['passed']} of {len(report['cases'])}")
+    return "\n".join(lines) + "\n", report["ok"]
 
 
 # ---------------------------------------------------------------------------
 # wiring
+
+
+# One long option: its converter (None for a switch), its help, and the value
+# it takes when neither the command line nor the config file gives one.
+Flag = namedtuple("Flag", "convert help default", defaults=(None,))
+
+
+# the order here is the order of every subcommand's --help
+FLAGS = {
+    "--config": Flag(_text, "JSON file with defaults for any option"),
+    "--format": Flag(_text, "output format"),
+    "--out": Flag(_text, "write here atomically instead of stdout"),
+    "--n": Flag(_int, "number of variables"),
+    "--m": Flag(_text, "exponents: comma list, eq:M:N, or integer"),
+    "--k": Flag(_int, "power of the variable sum"),
+    "--ranking": Flag(_int_list, "variable ranking, highest first"),
+    "--order": Flag(_text, "order kind: grevlex or grlex", "grevlex"),
+    "--family": Flag(_text, "one of " + ", ".join(SEQ_FAMILIES)),
+    "--max": Flag(_int, "largest index to compute"),
+    "--p": Flag(_int, "prime characteristic"),
+    "--routes": Flag(_routes, "comma list: threshold, rank, initideal"),
+    "--d": Flag(_int, "source degree"),
+    "--e": Flag(_int, "power of the multiplier, default 1", 1),
+    "--n-max": Flag(_int, "largest n, default 4", 4),
+    "--m-max": Flag(_int, "largest exponent, default 4", 4),
+    "--k-max": Flag(_int, "largest power, default 4", 4),
+    "--census": Flag(None, "count distinct bases over all rankings per case", False),
+    "--s": Flag(_int_list, "exponents of the monomial, comma list"),
+    "--reflect": Flag(None, "overlay the reflected path", False),
+}
+
+
+@dataclass(frozen=True)
+class Subcommand:
+    """One subcommand: the handler gets the validated namespace and returns
+    (text, ok); the first format is the default, and every subcommand also
+    takes --config, --format and --out."""
+
+    help: str
+    handler: Callable
+    formats: tuple
+    required: tuple
+    optional: tuple
+
+    def flags(self) -> list:
+        """(flag, argparse dest) pairs in the order of FLAGS."""
+        mine = ("--config", "--format", "--out") + self.required + self.optional
+        return [(flag, flag[2:].replace("-", "_")) for flag in FLAGS if flag in mine]
+
+
+SUBCOMMANDS = {
+    "gb": Subcommand("reduced basis", _cmd_gb, ("json", "text", "m2"),
+                     ("--m", "--k"), ("--n", "--ranking", "--order")),
+    "init": Subcommand("initial ideal", _cmd_init, ("json", "text"),
+                       ("--m", "--k"), ("--n",)),
+    "crit": Subcommand("critical monomials", _cmd_crit, ("json", "text"),
+                       ("--m", "--k"), ("--n",)),
+    "hilbert": Subcommand("Hilbert series", _cmd_hilbert, ("json", "text"),
+                          ("--m", "--k"), ("--n",)),
+    "seq": Subcommand("integer sequences", _cmd_seq, ("text", "json", "csv"),
+                      ("--family", "--max"), ("--m", "--k")),
+    "wlp": Subcommand("weak Lefschetz verdict mod p", _cmd_wlp, ("json", "text"),
+                      ("--m", "--p"), ("--n", "--routes")),
+    "rank": Subcommand("one multiplication rank mod p", _cmd_rank, ("json", "text"),
+                       ("--m", "--p", "--d"), ("--n", "--e")),
+    "verify": Subcommand("oracle cross-checks over a grid", _cmd_verify,
+                         ("text", "json"), (),
+                         ("--n-max", "--m-max", "--k-max", "--census")),
+    "render": Subcommand("draw a lattice path", _cmd_render, ("ascii", "svg"),
+                         ("--m", "--k", "--s"), ("--n", "--reflect")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -577,179 +605,71 @@ def build_parser() -> argparse.ArgumentParser:
         description="Groebner bases of power-sum almost complete intersections.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, *, n=False, m=False, k=False, order=False):
-        p.add_argument("--config", help="JSON file with defaults for any option")
-        p.add_argument("--format", help="output format")
-        p.add_argument("--out", help="write here atomically instead of stdout")
-        if n:
-            p.add_argument("--n", help="number of variables")
-        if m:
-            p.add_argument("--m", help="exponents: comma list, eq:M:N, or integer")
-        if k:
-            p.add_argument("--k", help="power of the variable sum")
-        if order:
-            p.add_argument("--ranking", help="variable ranking, highest first")
-            p.add_argument("--order", help="order kind: grevlex or grlex")
-
-    common(sub.add_parser("gb", help="reduced basis"), n=True, m=True, k=True, order=True)
-    common(sub.add_parser("init", help="initial ideal"), n=True, m=True, k=True)
-    common(sub.add_parser("crit", help="critical monomials"), n=True, m=True, k=True)
-    common(sub.add_parser("hilbert", help="Hilbert series"), n=True, m=True, k=True)
-
-    seq = sub.add_parser("seq", help="integer sequences")
-    common(seq, m=True, k=True)
-    seq.add_argument("--family", help="one of " + ", ".join(SEQ_FAMILIES))
-    seq.add_argument("--max", help="largest index to compute")
-
-    wlp = sub.add_parser("wlp", help="weak Lefschetz verdict mod p")
-    common(wlp, n=True, m=True)
-    wlp.add_argument("--p", help="prime characteristic")
-    wlp.add_argument("--routes", help="comma list: threshold, rank, initideal")
-
-    rank = sub.add_parser("rank", help="one multiplication rank mod p")
-    common(rank, n=True, m=True)
-    rank.add_argument("--p", help="prime characteristic")
-    rank.add_argument("--d", help="source degree")
-    rank.add_argument("--e", help="power of the multiplier, default 1")
-
-    verify = sub.add_parser("verify", help="oracle cross-checks over a grid")
-    common(verify)
-    verify.add_argument("--n-max", help="largest n, default 4")
-    verify.add_argument("--m-max", help="largest exponent, default 4")
-    verify.add_argument("--k-max", help="largest power, default 4")
-    verify.add_argument("--census", action="store_true",
-                        help="count distinct bases over all rankings per case")
-
-    render = sub.add_parser("render", help="draw a lattice path")
-    common(render, n=True, m=True, k=True)
-    render.add_argument("--s", help="exponents of the monomial, comma list")
-    render.add_argument("--reflect", action="store_true",
-                        help="overlay the reflected path")
-
+    for name, spec in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        for flag, _ in spec.flags():
+            action = "store_true" if FLAGS[flag].convert is None else "store"
+            p.add_argument(flag, action=action, help=FLAGS[flag].help)
     return parser
 
 
-def _merge_config(ns: argparse.Namespace) -> None:
-    if not getattr(ns, "config", None):
+def _merge_config(ns: argparse.Namespace, spec: Subcommand) -> None:
+    if ns.config is None:
         return
     with open(ns.config) as handle:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
+    by_dest = {dest: flag for flag, dest in spec.flags() if flag != "--config"}
     for key, value in data.items():
         dest = key.replace("-", "_")
-        if not hasattr(ns, dest) or dest in ("subcommand", "config"):
+        if dest not in by_dest:
             raise ValueError(f"config key {key!r} is not an option of this subcommand")
-        current = getattr(ns, dest)
-        if current is None or current is False:
+        # a switch takes a JSON boolean, any other flag a string or an integer
+        # (bool is a subclass of int, hence the first test)
+        switch = FLAGS[by_dest[dest]].convert is None
+        if isinstance(value, bool) != switch or not isinstance(value, (str, int)):
+            kind = "true or false" if switch else "a string or an integer"
+            raise ValueError(f"config key {key!r} takes {kind}, got {json.dumps(value)}")
+        if getattr(ns, dest) in (None, False):
             setattr(ns, dest, value)
 
 
-def run_config(ns: argparse.Namespace) -> RunConfig:
-    """Validate a parsed namespace into a RunConfig."""
-    sub = ns.subcommand
-    fields = {"subcommand": sub}
-
-    needs_m = sub in ("gb", "init", "crit", "hilbert", "wlp", "rank", "render")
-    if needs_m:
-        if getattr(ns, "m", None) is None:
-            raise ValueError(f"{sub} needs --m")
-        n_flag = getattr(ns, "n", None)
-        n_flag = _int(n_flag, "--n") if n_flag is not None else None
-        n, m = parse_m(ns.m, n_flag)
-        fields["n"] = n
-        fields["m"] = m
-
-    if sub in ("gb", "init", "crit", "hilbert", "render"):
-        if getattr(ns, "k", None) is None:
-            raise ValueError(f"{sub} needs --k")
-        fields["k"] = _int(ns.k, "--k")
-
-    if sub == "gb":
-        if ns.ranking is not None:
-            fields["ranking"] = _int_list(ns.ranking, "--ranking")
-        if ns.order is not None:
-            fields["kind"] = str(ns.order)
-
-    if sub == "seq":
-        if ns.family is None:
-            raise ValueError("seq needs --family")
-        fields["family"] = str(ns.family)
-        if getattr(ns, "m", None) is not None:
-            fields["m_text"] = str(ns.m)
-        if ns.k is not None:
-            fields["k"] = _int(ns.k, "--k")
-        if ns.max is not None:
-            fields["max"] = _int(ns.max, "--max")
-
-    if sub in ("wlp", "rank"):
-        if getattr(ns, "p", None) is None:
-            raise ValueError(f"{sub} needs --p")
-        fields["p"] = _int(ns.p, "--p")
-    if sub == "wlp" and ns.routes is not None:
-        fields["routes"] = tuple(
-            part.strip() for part in str(ns.routes).split(",") if part.strip()
-        )
-    if sub == "rank":
-        if ns.d is not None:
-            fields["d"] = _int(ns.d, "--d")
-        if ns.e is not None:
-            fields["e"] = _int(ns.e, "--e")
-
-    if sub == "verify":
-        fields["grid"] = (
-            _int(ns.n_max, "--n-max") if ns.n_max is not None else 4,
-            _int(ns.m_max, "--m-max") if ns.m_max is not None else 4,
-            _int(ns.k_max, "--k-max") if ns.k_max is not None else 4,
-        )
-        fields["census"] = bool(ns.census)
-
-    if sub == "render":
-        if ns.s is not None:
-            fields["monomial"] = _int_list(ns.s, "--s")
-        fields["reflect"] = bool(ns.reflect)
-
-    allowed = FORMATS[sub]
-    chosen = getattr(ns, "format", None)
-    fields["format"] = str(chosen) if chosen is not None else allowed[0]
-    if fields["format"] not in allowed:
+def _validate(ns: argparse.Namespace, spec: Subcommand) -> None:
+    """Convert every flag of the subcommand in place, fill in defaults, and
+    refuse a missing required flag or a format the subcommand does not write."""
+    for flag, dest in spec.flags():
+        value = getattr(ns, dest)
+        if value is None:
+            if flag in spec.required:
+                raise ValueError(f"{ns.subcommand} needs {flag}")
+            value = FLAGS[flag].default
+        elif FLAGS[flag].convert is not None:
+            value = FLAGS[flag].convert(value, flag)
+        if flag == "--m" and "--n" in spec.required + spec.optional:
+            # the length of the vector fixes n, or --n widens a bare integer
+            ns.n, value = parse_m(value, ns.n)
+        setattr(ns, dest, value)
+    if ns.format is None:
+        ns.format = spec.formats[0]
+    if ns.format not in spec.formats:
         raise ValueError(
-            f"{sub} writes {', '.join(allowed)}; got {fields['format']!r}"
+            f"{ns.subcommand} writes {', '.join(spec.formats)}; got {ns.format!r}"
         )
-    if getattr(ns, "out", None) is not None:
-        fields["out"] = str(ns.out)
-    return RunConfig(**fields)
-
-
-_HANDLERS = {
-    "gb": _cmd_gb,
-    "init": _cmd_init,
-    "crit": _cmd_crit,
-    "hilbert": _cmd_hilbert,
-    "seq": _cmd_seq,
-    "wlp": _cmd_wlp,
-    "rank": _cmd_rank,
-    "render": _cmd_render,
-}
-
-
-def dispatch(cfg: RunConfig) -> int:
-    if cfg.subcommand == "verify":
-        text, ok = _cmd_verify(cfg)
-        _emit(text, cfg.out)
-        return 0 if ok else 2
-    _emit(_HANDLERS[cfg.subcommand](cfg), cfg.out)
-    return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
+    spec = SUBCOMMANDS[ns.subcommand]
     try:
-        _merge_config(ns)
-        cfg = run_config(ns)
-        return dispatch(cfg)
+        _merge_config(ns, spec)
+        _validate(ns, spec)
+        text, ok = spec.handler(ns)
+        if ns.out is None:
+            sys.stdout.write(text)
+        else:
+            write_atomic(ns.out, text)
+        return 0 if ok else 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -89,7 +89,8 @@ def build_gs_divisor_form(s, j: int, m, k: int, n_total: int) -> SparsePoly:
         for comp in compositions(e, caps):
             mono = sdd + comp
             terms[mono] = terms.get(mono, Fraction(0)) + lam * multinomial(e, comp)
-    return SparsePoly.from_terms(n_total, terms.items(), QQ)
+    # every weight and multinomial is positive, so no coefficient cancels to 0
+    return SparsePoly(n_total, QQ, terms)
 
 
 def build_gs_tail_form(
@@ -311,11 +312,8 @@ def reduced_gb(n: int, m, k: int, ranking=None, kind: str = "grevlex") -> Groebn
     for j in range(1, n + 1):
         for s in crit.by_index[j - 1]:
             g = build_gs_divisor_form(s, j, m_perm, k, n)
-            elements.append(
-                SparsePoly.from_terms(
-                    n, ((back(mo), c) for mo, c in g.terms.items()), QQ
-                )
-            )
+            # relabelling is a bijection on monomials: nothing merges or cancels
+            elements.append(SparsePoly(n, QQ, {back(mo): c for mo, c in g.terms.items()}))
     return GroebnerBasis(n, m, k, order, sort_elements(elements, order))
 
 

@@ -113,9 +113,6 @@ class DegreeSequence:
             raise KeyError(f"degree {d} outside computed range")
         return self.values[d - lo][1]
 
-    def as_dict(self) -> dict:
-        return dict(self.values)
-
 
 def _level_frame(prefix, m_n: int, k: int):
     """(d_min, e_max, delta, series) for the level after the prefix, or None

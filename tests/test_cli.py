@@ -1,6 +1,7 @@
 """End-to-end tests of the command line: golden outputs, schema validation,
 determinism, exit codes, config handling, and the picture renderers."""
 
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 from importlib import resources
@@ -9,7 +10,14 @@ import jsonschema
 import pytest
 
 from acigb import cli as cli_module
-from acigb.cli import main, parse_m, parse_mspec, verify_all, write_atomic
+from acigb.cli import (
+    SUBCOMMANDS,
+    main,
+    parse_m,
+    parse_mspec,
+    verify_all,
+    write_atomic,
+)
 from acigb.paths import ReflectionLine, path_from_monomial, reflect
 from acigb.sequences import MSpec
 
@@ -124,6 +132,71 @@ class TestGoldenOutputs:
         a = invoke(["gb", "--m", "eq:2:3", "--k", "1"], capsys)
         b = invoke(["gb", "--m", "2,2,2", "--k", "1"], capsys)
         assert a == b
+
+
+# SHA-256 of stdout for one small invocation per (subcommand, format) pair,
+# plus the s-catalan triangle in text and csv, recorded before the command
+# line was made table-driven
+PINNED_DIGESTS = [
+    (["gb", "--m", "3,2,4", "--k", "3", "--ranking", "3,1,2", "--order", "grlex", "--format", "json"],
+     "2d896de1d2dd44cbbc351a4789142bf498c927f2cbf23ab78d7c3cbc6cf6043f"),
+    (["gb", "--m", "3,2,4", "--k", "3", "--ranking", "3,1,2", "--order", "grlex", "--format", "text"],
+     "51ef0b045989e7d3342a65e2f2958705093d1fc136c5d048be4fa89661d90c6d"),
+    (["gb", "--m", "3,2,4", "--k", "3", "--ranking", "3,1,2", "--order", "grlex", "--format", "m2"],
+     "205254cabd65536c7b39bc05aa21bb0086e30918c635471c78c07b8520294319"),
+    (["init", "--m", "3,2,2,3", "--k", "2", "--format", "json"],
+     "5ed71f600c6b4ef58535fa32775edc42cb989e80e3e7addbcc55885260ee7284"),
+    (["init", "--m", "3,2,2,3", "--k", "2", "--format", "text"],
+     "736554382f61a2841a27c8e6ad29c8d7409270a5dc56db877fbb6dbd65847994"),
+    (["crit", "--m", "eq:3:4", "--k", "2", "--format", "json"],
+     "642812ed5800a8e54b1748f621308e294bf813ed4bd2f93b356af750b6168189"),
+    (["crit", "--m", "eq:3:4", "--k", "2", "--format", "text"],
+     "1e384e56f2cf37fc4ed42e3b117820fc64d89f1f1b85774a4e2f9fa8e38724ab"),
+    (["hilbert", "--m", "2,3,4", "--k", "3", "--format", "json"],
+     "094c359188300964074335d6244a3f0126d3603e5af4e1cef98ea4b9759f0fbc"),
+    (["hilbert", "--m", "2,3,4", "--k", "3", "--format", "text"],
+     "66629afc3e6431ea5d26a044c5df6083534e28f7d2664090309bcd2c65025cbb"),
+    (["seq", "--family", "g", "--m", "eq:3", "--k", "2", "--max", "8", "--format", "text"],
+     "3b1a429c1f978372223ad3b94e1998d53358f807844eb8c0c8ad86f356d6563d"),
+    (["seq", "--family", "g", "--m", "eq:3", "--k", "2", "--max", "8", "--format", "json"],
+     "7f49016dbf2bd28421592cc55ac9df3fd4287bc749fe20e3d795a939c2735aee"),
+    (["seq", "--family", "g", "--m", "eq:3", "--k", "2", "--max", "8", "--format", "csv"],
+     "a1f71e9411fc174ab0b05bfdab1ceb06e8afbf300e000bae8a71cc53ef3b6c91"),
+    (["seq", "--family", "s-catalan", "--m", "3", "--max", "3", "--format", "text"],
+     "7009b06455417af96d390084eb0d5e092da046339df395291b0d7a6f6c373963"),
+    (["seq", "--family", "s-catalan", "--m", "3", "--max", "3", "--format", "csv"],
+     "7eb6a9c913dba80885e0efea58ad6dddce55daafc2b828dde07ec29ab1a47eca"),
+    (["wlp", "--m", "2,2,2,4,5", "--p", "3", "--format", "json"],
+     "3f28da0d6ba9a02bf5ec89ef806d21436ff480f30ef7a1df0e18276f8ee44814"),
+    (["wlp", "--m", "2,2,2,4,5", "--p", "3", "--format", "text"],
+     "c54764536d136a9e2ad20206484d696a4cc467ccc98db6de9f0ab479ce000c0d"),
+    (["rank", "--n", "5", "--m", "2", "--p", "2", "--d", "1", "--format", "json"],
+     "6917b6b132afb49ac93f14b47c9b0f1574f968d5a5dd69cf622ca5b310f266dd"),
+    (["rank", "--n", "5", "--m", "2", "--p", "2", "--d", "1", "--format", "text"],
+     "2d3fee6d03bbba3eacbf1fa2a72bc3e618c364e8bdd5454d1c94809b56afd241"),
+    (["verify", "--n-max", "2", "--m-max", "3", "--k-max", "2", "--census", "--format", "text"],
+     "b971c0239db0386dd69f8e2c894045dbbf5ee4c74fb536921fd60f72373b9d3b"),
+    (["verify", "--n-max", "2", "--m-max", "3", "--k-max", "2", "--census", "--format", "json"],
+     "9f0b1331e9be5b5231e89b94275c5b272b03068f6f03e4f2def2917b8811aae9"),
+    (["render", "--m", "3,2,2,3", "--k", "2", "--s", "2,0,0,0", "--reflect", "--format", "ascii"],
+     "e4ae814dc0424f8bf24380ecfa5c551614cd0b08ed281af735432827720c1d43"),
+    (["render", "--m", "3,2,2,3", "--k", "2", "--s", "2,0,0,0", "--reflect", "--format", "svg"],
+     "d815472efcb7d261f1d3859955a4bb3e2fb9bdad9d0bb214a64d24b9650e029c"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_DIGESTS)
+def test_pinned_output_digest(argv, digest, capsys):
+    code, out, err = invoke(argv, capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_pinned_digests_cover_every_format():
+    pinned = {(argv[0], argv[-1]) for argv, _ in PINNED_DIGESTS}
+    assert pinned == {
+        (sub, fmt) for sub, spec in SUBCOMMANDS.items() for fmt in spec.formats
+    }
 
 
 class TestJsonOutputs:
@@ -344,6 +417,38 @@ class TestConfigFile:
         cfg.write_text("[1, 2]")
         code, _, err = invoke(["hilbert", "--config", str(cfg)], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "sub, data, key",
+        [
+            ("hilbert", {"m": "3,2,2,3", "k": 2.5}, "k"),
+            ("hilbert", {"m": "3,2,2,3", "k": True}, "k"),
+            ("hilbert", {"m": [3, 2], "k": 2}, "m"),
+            ("hilbert", {"m": "3,2,2,3", "k": None}, "k"),
+            ("verify", {"n-max": 1, "census": "no"}, "census"),
+            ("render", {"m": "2,2", "k": 1, "s": "1,0", "reflect": "false"},
+             "reflect"),
+            ("render", {"m": "2,2", "k": 1, "s": "1,0", "reflect": 1}, "reflect"),
+        ],
+    )
+    def test_value_of_the_wrong_kind(self, tmp_path, capsys, sub, data, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        code, out, err = invoke([sub, "--config", str(cfg)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(key) in err
+
+    def test_values_of_every_kind(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"m": 2, "n": "2", "k": 1, "s": "1,0", "reflect": True, "format": "svg"}
+        ))
+        code, out, _ = invoke(["render", "--config", str(cfg)], capsys)
+        assert code == 0
+        polylines = [el for el in ET.fromstring(out).iter()
+                     if el.tag.endswith("polyline")]
+        assert len(polylines) == 3
 
 
 class TestExitCodes:

@@ -15,7 +15,7 @@ import io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acigb.cli import FORMATS, SEQ_FAMILIES, main
+from acigb.cli import SEQ_FAMILIES, SUBCOMMANDS, main
 
 JUNK = st.sampled_from(
     ["", "x", "-", ",", "1,,2", "eq:", "eq:3:", "eq:x:2", "3.5", "1e3"]
@@ -86,12 +86,23 @@ SPECS = {
 }
 
 
+def test_specs_fuzz_every_flag_of_the_command_line():
+    # the fuzz always passes the CLI's required flags and may pass more of
+    # them, so that verify's grid stays small
+    assert sorted(SPECS) == sorted(SUBCOMMANDS)
+    for sub, (required, optional) in SPECS.items():
+        spec = SUBCOMMANDS[sub]
+        assert set(required) | set(optional) == set(spec.required + spec.optional), sub
+        assert set(spec.required) <= set(required), sub
+
+
 @st.composite
 def argv_lists(draw):
     sub = draw(st.sampled_from(sorted(SPECS)))
     required, optional = SPECS[sub]
     optional = dict(optional, **{"--format": (
-        st.sampled_from(FORMATS[sub]), st.sampled_from(["xml", "m2", "csv", "svg"])
+        st.sampled_from(SUBCOMMANDS[sub].formats),
+        st.sampled_from(["xml", "m2", "csv", "svg"]),
     )})
     flags = sorted(required) + draw(
         st.lists(st.sampled_from(sorted(optional)), unique=True)
