@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator
 
 Mono = tuple  # exponent tuple, one entry per variable
 
@@ -88,95 +88,42 @@ def is_prime(p: int) -> bool:
 # coefficient fields
 
 
-class Rationals:
-    """Exact rational coefficients."""
+@dataclass(frozen=True)
+class Field:
+    """Q when p is None, with Fraction coefficients; otherwise the integers
+    mod the prime p.  Coefficients combine with Python's own operators, and
+    ``norm`` brings a result back to its canonical form: the residue mod p,
+    or the Fraction itself."""
 
-    p = None
-    zero = Fraction(0)
-    one = Fraction(1)
+    p: int | None = None
 
-    def coerce(self, value) -> Fraction:
-        return value if isinstance(value, Fraction) else Fraction(value)
+    def __post_init__(self):
+        if self.p is not None and not is_prime(self.p):
+            raise ValueError(f"modulus {self.p} is not prime")
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return Fraction(a.denominator, a.numerator)
-
-    def div(self, a, b):
-        return a / b
-
-    def __repr__(self):
-        return "QQ"
-
-
-class PrimeField:
-    """Integers mod a prime p, with Fermat inverses."""
-
-    zero = 0
-    one = 1
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        self.p = p
-
-    def coerce(self, value) -> int:
+    def coerce(self, value):
         p = self.p
+        if p is None:
+            return value if isinstance(value, Fraction) else Fraction(value)
         if isinstance(value, Fraction):
             den = value.denominator % p
             if den == 0:
                 raise ZeroDivisionError(f"denominator divisible by {p}")
-            return value.numerator * pow(den, p - 2, p) % p
+            return value.numerator * pow(den, -1, p) % p
         return int(value) % p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
+    def norm(self, c):
+        return c if self.p is None else c % self.p
 
     def inv(self, a):
+        if self.p is None:
+            return Fraction(a.denominator, a.numerator)
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
+        return pow(a, -1, self.p)
 
 
-QQ = Rationals()
-
-Field = Union[Rationals, PrimeField]
-
-
-def field_for(p: int | None) -> Field:
-    return QQ if p is None else PrimeField(p)
+QQ = Field()
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +289,11 @@ class SparsePoly:
             mono = tuple(mono)
             if len(mono) != n:
                 raise ValueError(f"monomial {mono} has wrong length for n={n}")
-            c = field.coerce(c)
-            acc = field.add(terms.get(mono, field.zero), c)
-            if acc == field.zero:
-                terms.pop(mono, None)
-            else:
+            acc = field.norm(terms.get(mono, 0) + field.coerce(c))
+            if acc:
                 terms[mono] = acc
+            else:
+                terms.pop(mono, None)
         return cls(n, field, terms)
 
     @classmethod
@@ -358,7 +304,7 @@ class SparsePoly:
         return not self.terms
 
     def coeff(self, mono: Mono):
-        return self.terms.get(tuple(mono), self.field.zero)
+        return self.terms.get(tuple(mono), self.field.coerce(0))
 
     def degree(self) -> int:
         """Total degree, -1 for the zero polynomial."""
@@ -379,16 +325,16 @@ class SparsePoly:
         f = self.field
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            acc = f.add(terms.get(mono, f.zero), c)
-            if acc == f.zero:
-                terms.pop(mono, None)
-            else:
+            acc = f.norm(terms.get(mono, 0) + c)
+            if acc:
                 terms[mono] = acc
+            else:
+                terms.pop(mono, None)
         return SparsePoly(self.n, f, terms)
 
     def neg(self) -> "SparsePoly":
         f = self.field
-        return SparsePoly(self.n, f, {m: f.neg(c) for m, c in self.terms.items()})
+        return SparsePoly(self.n, f, {m: f.norm(-c) for m, c in self.terms.items()})
 
     def sub(self, other: "SparsePoly") -> "SparsePoly":
         return self.add(other.neg())
@@ -396,17 +342,17 @@ class SparsePoly:
     def scale(self, c) -> "SparsePoly":
         f = self.field
         c = f.coerce(c)
-        if c == f.zero:
+        if not c:
             return SparsePoly.zero(self.n, f)
-        return SparsePoly(self.n, f, {m: f.mul(v, c) for m, v in self.terms.items()})
+        return SparsePoly(self.n, f, {m: f.norm(v * c) for m, v in self.terms.items()})
 
     def mul_term(self, mono: Mono, c) -> "SparsePoly":
         f = self.field
         c = f.coerce(c)
-        if c == f.zero:
+        if not c:
             return SparsePoly.zero(self.n, f)
         return SparsePoly(
-            self.n, f, {mono_mul(m, mono): f.mul(v, c) for m, v in self.terms.items()}
+            self.n, f, {mono_mul(m, mono): f.norm(v * c) for m, v in self.terms.items()}
         )
 
     def mul(self, other: "SparsePoly") -> "SparsePoly":
@@ -415,11 +361,11 @@ class SparsePoly:
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 mono = mono_mul(ma, mb)
-                acc = f.add(terms.get(mono, f.zero), f.mul(ca, cb))
-                if acc == f.zero:
-                    terms.pop(mono, None)
-                else:
+                acc = f.norm(terms.get(mono, 0) + ca * cb)
+                if acc:
                     terms[mono] = acc
+                else:
+                    terms.pop(mono, None)
         return SparsePoly(self.n, f, terms)
 
     def monic(self, order: TermOrder) -> "SparsePoly":
@@ -546,18 +492,18 @@ def reduce_full(
             continue
         lm, lc, g = hit
         q = mono_div(mono, lm)
-        factor = field.div(c, lc)
+        factor = field.norm(c * field.inv(lc))
         for gm, gc in g.terms.items():
             if gm == lm:
                 continue
             t = mono_mul(q, gm)
-            acc = field.sub(work.get(t, field.zero), field.mul(factor, gc))
-            if acc == field.zero:
-                work.pop(t, None)
-            else:
+            acc = field.norm(work.get(t, 0) - factor * gc)
+            if acc:
                 if t not in keys:
                     keys[t] = key(t)
                 work[t] = acc
+            else:
+                work.pop(t, None)
     return SparsePoly(f.n, field, remainder)
 
 

@@ -292,6 +292,8 @@ def _single_int_m(text, family: str) -> int:
 
 
 def _seq_payload(ns: argparse.Namespace) -> dict:
+    if ns.max < 0:
+        raise ValueError(f"--max must be at least 0, got {ns.max}")
     family = ns.family
     if family == "g":
         mspec = parse_mspec(_require(ns.m, "--m", family))

@@ -46,9 +46,10 @@ class MonomialIdeal:
         for g in self.min_gens:
             if len(g) != self.n:
                 raise ValueError("generator arity mismatch")
-        for g in self.min_gens:
-            for h in self.min_gens:
-                if g != h and mono_divides(g, h):
+        # each pair once, both ways, so a repeated generator is refused too
+        for i, g in enumerate(self.min_gens):
+            for h in self.min_gens[i + 1 :]:
+                if mono_divides(g, h) or mono_divides(h, g):
                     raise ValueError("generators are not an antichain")
 
     @classmethod
@@ -130,11 +131,14 @@ def minimal_generators(n: int, m, k: int) -> MonomialIdeal:
     for j in range(1, n + 1):
         if not pure_power_removed(m, k, j):
             gens.append(tuple(m[j - 1] if i == j - 1 else 0 for i in range(n)))
-    ideal = MonomialIdeal.from_generators(n, gens)
-    # the union is itself minimal; losing a member means a construction bug
-    if len(ideal.min_gens) != len(gens):
-        raise RuntimeError(f"generator union not minimal for n={n} m={m} k={k}")
-    return ideal
+    gens.sort(key=grevlex(n).key, reverse=True)
+    try:
+        return MonomialIdeal(n, tuple(gens))
+    except ValueError:
+        # the union is itself minimal; a divisibility means a construction bug
+        raise RuntimeError(
+            f"generator union not minimal for n={n} m={m} k={k}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .algebra import (
     check_degree_vector,
     compositions,
     enumerate_m_free,
-    field_for,
     grevlex,
     lead_table,
     linear_power,
@@ -34,7 +33,7 @@ from .algebra import (
     reduce_full,
 )
 from .closed_form import GroebnerBasis, sort_elements
-from .initial_ideal import MonomialIdeal, minimalize_monomials
+from .initial_ideal import MonomialIdeal
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ class OracleConfig:
 
     @property
     def field(self) -> Field:
-        return field_for(self.p)
+        return Field(self.p)
 
 
 def power_sum_generators(n: int, m, k: int, field: Field = QQ) -> list:
@@ -185,8 +184,9 @@ def verify_is_gb(candidate, gens: list, cfg: OracleConfig) -> bool:
 
 def initial_ideal_oracle(n: int, m, k: int, cfg: OracleConfig | None = None) -> MonomialIdeal:
     gb = oracle_reduced_gb(n, m, k, cfg)
+    # a reduced basis has minimal leading monomials, which the ideal checks
     lms = [g.leading_term(gb.order)[0] for g in gb.elements]
-    return MonomialIdeal(n, tuple(minimalize_monomials(lms)))
+    return MonomialIdeal(n, tuple(sorted(lms, key=grevlex(n).key, reverse=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,26 +194,26 @@ def initial_ideal_oracle(n: int, m, k: int, cfg: OracleConfig | None = None) -> 
 
 
 def gaussian_rank(rows: list, p: int) -> int:
-    """Rank of an integer matrix over F_p by elimination."""
-    field = field_for(p)
-    rows = [[field.coerce(x) for x in row] for row in rows]
+    """Rank of an integer matrix over F_p: the pivot count of a forward
+    elimination, which clears only the rows below each pivot."""
+    Field(p)
+    rows = [[x % p for x in row] for row in rows]
     ncols = len(rows[0]) if rows else 0
     rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
+    for col in range(ncols):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
-            col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [(a - c * b) % p for a, b in zip(rows[r], rows[rank])]
+        top = rows[rank]
+        inv = pow(top[col], -1, p)
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col]:
+                c = rows[r][col] * inv % p
+                rows[r] = [(a - c * b) % p for a, b in zip(rows[r], top)]
         rank += 1
-        col += 1
+        if rank == len(rows):
+            break
     return rank
 
 
@@ -223,7 +223,7 @@ def multiplication_rank(n: int, m, p: int, d: int, e: int = 1) -> int:
     if e < 1:
         raise ValueError(f"multiplier power must be at least 1, got {e}")
     m = check_degree_vector(m)
-    field_for(p)
+    Field(p)
     source = enumerate_m_free(n, m, d)
     target = enumerate_m_free(n, m, d + e)
     if not source or not target:

@@ -218,15 +218,11 @@ def max_gb_degree(n: int, m, k: int) -> int:
     if len(m) != n:
         raise ValueError("degree vector length must equal n")
     for q in range(n, 0, -1):
-        prefix = m[: q - 1]
-        D, delta = socle_degrees(prefix, k)
-        s_q = k + D - 2 * delta
-        if s_q >= m[q - 1]:
-            continue
-        series = hs_complete_intersection(prefix)
-        if hf(series, delta) - hf(series, delta - k) <= 0:
-            continue
-        return k + D - delta + min((m[q - 1] - 1 - s_q) // 2, delta)
+        frame = _level_frame(m[: q - 1], m[q - 1], k)
+        if frame is not None:
+            d_min, e_max, delta, series = frame
+            if _level_count(series, delta, 0, k) > 0:
+                return d_min + e_max
     raise ValueError(f"no m-free basis elements for n={n}, m={m}, k={k}")
 
 

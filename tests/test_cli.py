@@ -528,6 +528,22 @@ class TestExitCodes:
                 assert err.startswith("error:") and err.count("\n") == 1
                 assert "power" in err and e in err
 
+    def test_seq_refuses_negative_max(self, capsys):
+        for family, extra in (
+            ("g", ["--m", "eq:3", "--k", "2"]),
+            ("motzkin", []),
+            ("riordan", []),
+            ("catalan", []),
+            ("s-catalan", ["--m", "3"]),
+            ("spin", ["--m", "3"]),
+        ):
+            code, out, err = invoke(
+                ["seq", "--family", family, "--max=-1"] + extra, capsys
+            )
+            assert (code, out) == (1, ""), family
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "--max" in err
+
     def test_empty_grid_trivially_passes(self, capsys):
         code, out, _ = invoke(
             ["verify", "--n-max", "0", "--format", "text"], capsys

@@ -1,6 +1,7 @@
 """Buchberger oracle and modular rank tests."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from acigb.initial_ideal import hf_quotient, minimal_generators
 from acigb.oracle import (
     OracleConfig,
     buchberger,
+    gaussian_rank,
     initial_ideal_oracle,
     multiplication_rank,
     oracle_reduced_gb,
@@ -255,6 +257,41 @@ class TestMultiplicationRank:
         for n, e in [(1, -1), (2, -1), (2, 0)]:
             with pytest.raises(ValueError, match="power"):
                 multiplication_rank(n, (3,) * n, 5, 1, e)
+
+
+def span_rank(rows, p):
+    """Rank over F_p by brute force: log_p of the size of the row span."""
+    width = len(rows[0]) if rows else 0
+    span = {
+        tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % p for j in range(width))
+        for coeffs in itertools.product(range(p), repeat=len(rows))
+    }
+    size, rank = len(span), 0
+    while size > 1:
+        size //= p
+        rank += 1
+    return rank
+
+
+class TestGaussianRank:
+    def test_matches_span_size_on_random_matrices(self):
+        rng = random.Random(1)
+        for _ in range(600):
+            p = rng.choice((2, 3, 5))
+            shape = (rng.randint(1, 4), rng.randint(1, 5))
+            rows = [[rng.randint(-7, 7) for _ in range(shape[1])] for _ in range(shape[0])]
+            before = [list(row) for row in rows]
+            assert gaussian_rank(rows, p) == span_rank(rows, p), (rows, p)
+            assert rows == before
+
+    def test_empty_matrices(self):
+        assert gaussian_rank([], 3) == 0
+        assert gaussian_rank([[], []], 3) == 0
+
+    def test_rejects_composite_modulus(self):
+        for p in (1, 4, 6, 9):
+            with pytest.raises(ValueError, match="not prime"):
+                gaussian_rank([[1, 0], [0, 1]], p)
 
 
 class TestSpoly:
