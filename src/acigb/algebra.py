@@ -142,6 +142,37 @@ def mono_divides(a: Mono, b: Mono) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+# Packed divisibility.  An exponent vector packs into one int with a bit
+# field per variable, the first variable lowest; each field holds the
+# exponent clamped to cap under a guard bit.  Setting every guard bit of h
+# and subtracting g borrows across no field, since g's fields are at most
+# cap, and leaves a field's guard bit set exactly when h_i >= g_i.  So for
+# every g with exponents at most cap, g | h iff
+# ((pack(h) | guard) - pack(g)) & guard == guard; clamping h to cap changes
+# no such comparison.  Callers test a candidate against a whole list at
+# once, which keeps the test to one integer operation per generator.
+
+
+def packing(n: int, cap: int) -> tuple:
+    """(width, guard) of the packed layout for n variables and exponent cap."""
+    width = cap.bit_length() + 1
+    return width, sum(1 << (i * width + width - 1) for i in range(n))
+
+
+def mono_pack(mono: Mono, width: int, cap: int) -> int:
+    """A non-negative exponent vector packed, each exponent clamped to cap."""
+    out = 0
+    for e in reversed(mono):
+        out = (out << width) | (e if e < cap else cap)
+    return out
+
+
+def packed_divides_any(gens, h: int, guard: int) -> bool:
+    """Whether some packed monomial in gens divides the packed monomial h."""
+    h |= guard
+    return any((h - g) & guard == guard for g in gens)
+
+
 def mono_div(a: Mono, b: Mono) -> Mono:
     """a / b, assuming b divides a."""
     return tuple(x - y for x, y in zip(a, b))

@@ -79,7 +79,7 @@ from .sequences import (
     motzkin,
     riordan,
     s_catalan_triangle,
-    spin_catalan_degeneracy,
+    spin_catalan_degeneracies,
 )
 from .wlp import wlp_decide
 
@@ -323,11 +323,12 @@ def _seq_payload(ns: argparse.Namespace) -> dict:
     if family == "spin":
         m_val = _single_int_m(_require(ns.m, "--m", family), family)
         sigma = Fraction(m_val - 1, 2)
+        values = spin_catalan_degeneracies(sigma, ns.max)
         return {
             "family": "spin",
             "m": m_val,
             "sigma": coeff_to_str(sigma),
-            "values": [[i, spin_catalan_degeneracy(sigma, i)] for i in range(ns.max + 1)],
+            "values": [[i, v] for i, v in enumerate(values)],
         }
     raise ValueError(f"unknown family {family!r}; pick one of {', '.join(SEQ_FAMILIES)}")
 
@@ -453,7 +454,9 @@ def _verify_case(case):
             oracle_lms = oracle.leading_monomials()
     series = truncate_lefschetz(hs_complete_intersection(m), k)
     ideal = minimal_generators(n, m, k)
-    oracle_ideal = MonomialIdeal.from_generators(n, oracle_lms)
+    # a reduced basis has minimal leading monomials, which the ideal checks
+    oracle_lms = sorted(oracle_lms, key=grevlex(n).key, reverse=True)
+    oracle_ideal = MonomialIdeal(n, tuple(oracle_lms))
     agree = True
     for d in range(len(series) + 2):
         counted = hf_quotient(n, m, k, d, ideal=ideal)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, prod
 
 from .algebra import (
     LT,
@@ -29,7 +30,6 @@ from .algebra import (
     linear_power,
     max_index,
     mono_degree,
-    multinomial,
     normal_form_pure_powers,
 )
 from .initial_ideal import (
@@ -52,23 +52,41 @@ def _check_generator_shape(s, j: int, m, k: int, n_total: int) -> None:
         raise ValueError(f"{s} is not critical: x_{j} exponent must be {expected}")
 
 
-def _divisor_weights(s, j: int, m):
-    """(s'', deg(s) - deg(s''), lambda_{s''}) for every divisor s'' of the
-    head s_1 ... s_{j-1} whose weight is nonzero.
+def _divisor_numerators(s, j: int, m, tail_room: int | None = None):
+    """(s'', deg(s) - deg(s''), num) for every divisor s'' of the head
+    s_1 ... s_{j-1} whose weight lambda_{s''} = num / (deg(s) - deg(s''))! is
+    nonzero.
 
-    The weight multiplies s_i!/s''_i! * C(m_i - s''_i - 1, s_i - s''_i) over
-    i < j with s_j!/(deg(s) - deg(s''))!.
+    num multiplies s_i!/s''_i! * C(m_i - s''_i - 1, s_i - s''_i) over i < j
+    with s_j!; the per-variable factors are tabulated once.  Divisors whose
+    tail degree deg(s) - deg(s'') exceeds tail_room are skipped.
     """
+    head = s[: j - 1]
     d = mono_degree(s)
-    for sdd in itertools.product(*(range(si + 1) for si in s[: j - 1])):
-        e = d - sum(sdd)
-        num = factorial(s[j - 1])
-        for i in range(j - 1):
-            num *= (factorial(s[i]) // factorial(sdd[i])) * binom(
-                m[i] - sdd[i] - 1, s[i] - sdd[i]
-            )
+    factors = [
+        [
+            factorial(si) // factorial(t) * binom(m[i] - t - 1, si - t)
+            for t in range(si + 1)
+        ]
+        for i, si in enumerate(head)
+    ]
+    lead = factorial(s[j - 1])
+    lo = 0 if tail_room is None else d - tail_room
+    for sdd in itertools.product(*(range(si + 1) for si in head)):
+        t = sum(sdd)
+        if t < lo:
+            continue
+        num = lead
+        for f, x in zip(factors, sdd):
+            num *= f[x]
         if num:
-            yield sdd, e, Fraction(num, factorial(e))
+            yield sdd, d - t, num
+
+
+@lru_cache(maxsize=1024)
+def _tail_terms(e: int, caps: tuple) -> tuple:
+    """(comp, prod(comp!)) for every composition of e bounded by caps."""
+    return tuple((comp, prod(map(factorial, comp))) for comp in compositions(e, caps))
 
 
 def build_gs_divisor_form(s, j: int, m, k: int, n_total: int) -> SparsePoly:
@@ -77,19 +95,20 @@ def build_gs_divisor_form(s, j: int, m, k: int, n_total: int) -> SparsePoly:
     g_s = sum over s'' | s/x_j^{s_j} of
         lambda_{s''} * s'' * (x_j + ... + x_n)^{deg(s) - deg(s'')},
     with the expansion reduced modulo the pure powers x_j^{m_j}, ..., x_n^{m_n}
-    and the weights lambda_{s''} of ``_divisor_weights``.
+    and the weights lambda_{s''} = num / e! of ``_divisor_numerators``, where
+    e = deg(s) - deg(s'').  The term of s'' * comp is then
+    lambda_{s''} * multinomial(e, comp) = num / prod(comp!).
     """
     m = check_degree_vector(m)
     _check_generator_shape(s, j, m, k, n_total)
     s = tuple(s)
-    caps = [mi - 1 for mi in m[j - 1 :]]
+    caps = tuple(mi - 1 for mi in m[j - 1 :])
     terms: dict = {}
-    for sdd, e, lam in _divisor_weights(s, j, m):
-        # expand (x_j + ... + x_n)^e, dropping monomials the pure powers kill
-        for comp in compositions(e, caps):
-            mono = sdd + comp
-            terms[mono] = terms.get(mono, Fraction(0)) + lam * multinomial(e, comp)
-    # every weight and multinomial is positive, so no coefficient cancels to 0
+    # each (s'', comp) is its own monomial, so no two terms meet; every
+    # numerator is positive, so no coefficient is 0
+    for sdd, e, num in _divisor_numerators(s, j, m, sum(caps)):
+        for comp, den in _tail_terms(e, caps):
+            terms[sdd + comp] = Fraction(num, den)
     return SparsePoly(n_total, QQ, terms)
 
 
@@ -211,7 +230,10 @@ def verify_certificate(cert: Certificate, m) -> bool:
     # pure power reduces
     g_s = SparsePoly.from_terms(
         n,
-        ((sdd + (e,), lam) for sdd, e, lam in _divisor_weights(cert.s, n, m_x)),
+        (
+            (sdd + (e,), Fraction(num, factorial(e)))
+            for sdd, e, num in _divisor_numerators(cert.s, n, m_x)
+        ),
         QQ,
     )
     return normal_form_pure_powers(product, m_x) == g_s
@@ -297,11 +319,15 @@ def reduced_gb(n: int, m, k: int, ranking=None, kind: str = "grevlex") -> Groebn
     order = TermOrder(kind, tuple(ranking))
     m_perm = tuple(m[r - 1] for r in order.ranking)
 
+    # frame variable i is original variable ranking[i], so original
+    # variable r reads frame position src[r - 1]
+    src = [0] * n
+    for i, r in enumerate(order.ranking):
+        src[r - 1] = i
+    relabel = src != list(range(n))
+
     def back(mono):
-        out = [0] * n
-        for i, e in enumerate(mono):
-            out[order.ranking[i] - 1] = e
-        return tuple(out)
+        return tuple(map(mono.__getitem__, src))
 
     elements = []
     for j in range(1, n + 1):
@@ -312,8 +338,10 @@ def reduced_gb(n: int, m, k: int, ranking=None, kind: str = "grevlex") -> Groebn
     for j in range(1, n + 1):
         for s in crit.by_index[j - 1]:
             g = build_gs_divisor_form(s, j, m_perm, k, n)
-            # relabelling is a bijection on monomials: nothing merges or cancels
-            elements.append(SparsePoly(n, QQ, {back(mo): c for mo, c in g.terms.items()}))
+            if relabel:
+                # a bijection on monomials: nothing merges or cancels
+                g = SparsePoly(n, QQ, {back(mo): c for mo, c in g.terms.items()})
+            elements.append(g)
     return GroebnerBasis(n, m, k, order, sort_elements(elements, order))
 
 

@@ -10,7 +10,7 @@ tests keep all three in agreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import (
     check_degree_vector,
@@ -19,46 +19,80 @@ from .algebra import (
     grevlex,
     is_m_free,
     max_index,
-    mono_divides,
+    mono_pack,
+    packed_divides_any,
+    packing,
 )
 from . import paths as _paths
 
 
 def minimalize_monomials(gens) -> tuple:
     """Antichain of the divisibility-minimal elements, sorted descending."""
-    gens = set(gens)
-    keep = []
+    gens = sorted(set(gens), key=sum)
+    if not gens:
+        return ()
+    n = len(gens[0])
+    cap = max(max(g, default=0) for g in gens)
+    width, guard = packing(n, cap)
+    keep, packed = [], []
+    # ascending degree, so every proper divisor of g is seen before g
     for g in gens:
-        if not any(h != g and mono_divides(h, g) for h in gens):
+        p = mono_pack(g, width, cap)
+        if not packed_divides_any(packed, p, guard):
             keep.append(g)
-    n = len(keep[0]) if keep else 0
-    return tuple(sorted(keep, key=grevlex(n).key, reverse=True)) if keep else ()
+            packed.append(p)
+    return tuple(sorted(keep, key=grevlex(n).key, reverse=True))
 
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal carried by its minimal generators (an antichain)."""
+    """A monomial ideal carried by its minimal generators (an antichain).
+
+    The generators are also kept packed (``algebra.packing``), with the cap
+    at their largest exponent, so each divisibility test is one integer
+    operation; the packed fields take no part in equality or hashing.
+    """
 
     n: int
     min_gens: tuple
+    _width: int = field(init=False, repr=False, compare=False)
+    _cap: int = field(init=False, repr=False, compare=False)
+    _guard: int = field(init=False, repr=False, compare=False)
+    _packed: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for g in self.min_gens:
             if len(g) != self.n:
                 raise ValueError("generator arity mismatch")
-        # each pair once, both ways, so a repeated generator is refused too
-        for i, g in enumerate(self.min_gens):
-            for h in self.min_gens[i + 1 :]:
-                if mono_divides(g, h) or mono_divides(h, g):
+        cap = max((max(g, default=0) for g in self.min_gens), default=0)
+        width, guard = packing(self.n, cap)
+        packed = tuple(mono_pack(g, width, cap) for g in self.min_gens)
+        # no exponent exceeds the cap, so packing is one-to-one on generators
+        if len(set(packed)) != len(packed):
+            raise ValueError("generators are not an antichain")
+        # a proper divisor has lower degree, so each generator is tested
+        # only against the generators of strictly lower degree
+        by_degree: dict = {}
+        for g, p in zip(self.min_gens, packed):
+            by_degree.setdefault(sum(g), []).append(p)
+        lower: list = []
+        for d in sorted(by_degree):
+            for p in by_degree[d]:
+                if packed_divides_any(lower, p, guard):
                     raise ValueError("generators are not an antichain")
+            lower.extend(by_degree[d])
+        object.__setattr__(self, "_width", width)
+        object.__setattr__(self, "_cap", cap)
+        object.__setattr__(self, "_guard", guard)
+        object.__setattr__(self, "_packed", packed)
 
     @classmethod
     def from_generators(cls, n: int, gens) -> "MonomialIdeal":
         return cls(n, minimalize_monomials(gens))
 
     def contains(self, mono) -> bool:
-        mono = tuple(mono)
-        return any(mono_divides(g, mono) for g in self.min_gens)
+        h = mono_pack(mono, self._width, self._cap)
+        return packed_divides_any(self._packed, h, self._guard)
 
 
 @dataclass(frozen=True)
@@ -89,10 +123,14 @@ def critical_sets(n: int, m, k: int) -> CriticalSets:
     if k < 1:
         raise ValueError("power must be at least 1")
     by_index = []
-    # Minimal generators at the current prefix length.  They stay an
-    # antichain without a divisibility pass: the old ones have x_j-exponent
-    # 0, each new w*x_j^e has w outside them, a larger deg(w) forces a
-    # smaller e, and x_j^{m_j} is kept only when no x_j^e is critical.
+    # Minimal generators at the current prefix length, packed with the first
+    # variable lowest, so padding a generator with a zero exponent keeps its
+    # value; max(m) bounds every generator exponent.  They stay an antichain
+    # without a divisibility pass: the old ones have x_j-exponent 0, each
+    # new w*x_j^e has w outside them, a larger deg(w) forces a smaller e,
+    # and x_j^{m_j} is kept only when no x_j^e is critical.
+    cap = max(m, default=0)
+    width, guard = packing(n, cap)
     gens: list = []
     d_prev = 0
     for j in range(1, n + 1):
@@ -104,12 +142,11 @@ def critical_sets(n: int, m, k: int) -> CriticalSets:
         for dw in range(lo, hi + 1):
             e = k + d_prev - 2 * dw
             for w in enumerate_m_free(j - 1, m[: j - 1], dw):
-                if not any(mono_divides(g, w) for g in gens):
+                if not packed_divides_any(gens, mono_pack(w, width, cap), guard):
                     crit_j.append(w + (e,))
-        gens = [g + (0,) for g in gens]
         if not pure_power_removed(m, k, j):
-            gens.append((0,) * (j - 1) + (mj,))
-        gens.extend(crit_j)
+            gens.append(mono_pack((0,) * (j - 1) + (mj,), width, cap))
+        gens.extend(mono_pack(s, width, cap) for s in crit_j)
         pad = n - j
         by_index.append(
             tuple(

@@ -44,6 +44,7 @@ __all__ = [
     "s_binom",
     "s_catalan_triangle",
     "log_concavity_check",
+    "spin_catalan_degeneracies",
     "spin_catalan_degeneracy",
     "spin_path_count",
 ]
@@ -354,20 +355,28 @@ def _doubled_spin(sigma) -> int:
     return int(two)
 
 
-def spin_catalan_degeneracy(sigma, N: int) -> int:
-    """Number of spin-0 states of N particles of the given spin.
+def spin_catalan_degeneracies(sigma, n_max: int) -> list:
+    """Number of spin-0 states of N particles of the given spin, for N from 0
+    to n_max.
 
     Zero when sigma*N is fractional; otherwise the count of basis elements
-    of degree sigma*N + 1 for exponent 2*sigma + 1 and first power.
+    of degree sigma*N + 1 for exponent 2*sigma + 1 and first power, all read
+    off one degree sequence.
     """
-    if N < 0:
+    if n_max < 0:
         raise ValueError("particle count must be non-negative")
     two_sigma = _doubled_spin(sigma)
-    if (two_sigma * N) % 2 == 1:
-        return 0
-    d = two_sigma * N // 2 + 1
-    seq = gb_degree_sequence(MSpec.constant(two_sigma + 1), 1, d)
-    return seq[d]
+    d_max = two_sigma * n_max // 2 + 1
+    seq = gb_degree_sequence(MSpec.constant(two_sigma + 1), 1, d_max)
+    return [
+        0 if two_sigma * N % 2 else seq[two_sigma * N // 2 + 1]
+        for N in range(n_max + 1)
+    ]
+
+
+def spin_catalan_degeneracy(sigma, N: int) -> int:
+    """Number of spin-0 states of N particles of the given spin."""
+    return spin_catalan_degeneracies(sigma, N)[N]
 
 
 def spin_path_count(sigma, N: int) -> int:

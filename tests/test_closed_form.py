@@ -8,7 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acigb.algebra import grevlex, grlex, poly_to_text
+from acigb.algebra import (
+    QQ,
+    SparsePoly,
+    binom,
+    compositions,
+    grevlex,
+    grlex,
+    multinomial,
+    poly_to_text,
+)
 from acigb.closed_form import (
     Certificate,
     build_certificate,
@@ -62,6 +71,47 @@ class TestDivisorForm:
                 for s in crit.by_index[j - 1]:
                     g = build_gs_divisor_form(s, j, m, k, n)
                     assert g.leading_term(order) == (s, Fraction(1)), (n, m, k, s)
+
+    def test_matches_chained_fraction_formula(self):
+        # the element rebuilt term by term as lambda * multinomial(e, comp),
+        # lambda = num / e!, summing into each monomial
+        def old_form(s, j, m, n):
+            d = sum(s)
+            caps = [mi - 1 for mi in m[j - 1 :]]
+            terms = {}
+            for sdd in itertools.product(*(range(si + 1) for si in s[: j - 1])):
+                e = d - sum(sdd)
+                num = factorial(s[j - 1])
+                for i in range(j - 1):
+                    num *= (factorial(s[i]) // factorial(sdd[i])) * binom(
+                        m[i] - sdd[i] - 1, s[i] - sdd[i]
+                    )
+                if not num:
+                    continue
+                lam = Fraction(num, factorial(e))
+                for comp in compositions(e, caps):
+                    mono = sdd + comp
+                    terms[mono] = terms.get(mono, Fraction(0)) + lam * multinomial(
+                        e, comp
+                    )
+            return SparsePoly(n, QQ, terms)
+
+        cases = list(crit_grid())
+        cases += [
+            (4, m, k)
+            for m in itertools.product((2, 3, 4), repeat=4)
+            for k in range(1, 5)
+        ]
+        cases += [(6, (3,) * 6, k) for k in range(1, 4)]
+        checked = 0
+        for n, m, k in cases:
+            crit = critical_sets(n, m, k)
+            for j in range(1, n + 1):
+                for s in crit.by_index[j - 1]:
+                    new = build_gs_divisor_form(s, j, m, k, n)
+                    assert new.terms == old_form(s, j, m, n).terms, (n, m, k, s)
+                    checked += 1
+        assert checked > 1000
 
     def test_rejects_wrong_index(self):
         n, m, k = GOLDEN

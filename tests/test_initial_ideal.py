@@ -1,8 +1,12 @@
 """Critical-set construction, minimal generators, and quotient counts."""
 
 import itertools
+import pickle
+import random
 
 import pytest
+
+from acigb.algebra import mono_divides
 
 from acigb.hilbert import hf, hs_complete_intersection, truncate_lefschetz
 from acigb.initial_ideal import (
@@ -67,6 +71,58 @@ class TestMonomialIdeal:
         ideal = MonomialIdeal.from_generators(2, [(2, 0), (1, 1)])
         assert ideal.contains((2, 1))
         assert not ideal.contains((1, 0))
+
+    def test_contains_matches_brute_force(self):
+        rng = random.Random(11)
+        for n in range(1, 6):
+            for _ in range(60):
+                gens = [
+                    tuple(rng.randint(0, 4) for _ in range(n))
+                    for _ in range(rng.randint(1, 6))
+                ]
+                ideal = MonomialIdeal.from_generators(n, gens)
+                for _ in range(20):
+                    # exponents above the largest generator exponent too
+                    mono = tuple(rng.randint(0, 7) for _ in range(n))
+                    brute = any(mono_divides(g, mono) for g in ideal.min_gens)
+                    assert ideal.contains(mono) == brute, (gens, mono)
+                assert ideal.contains((0,) * n) == (ideal.min_gens == ((0,) * n,))
+
+    def test_contains_on_the_golden_ideal(self):
+        n, m, k = GOLDEN
+        ideal = minimal_generators(n, m, k)
+        for d in range(9):
+            for mono in itertools.product(range(d + 1), repeat=n):
+                if sum(mono) == d:
+                    brute = any(mono_divides(g, mono) for g in ideal.min_gens)
+                    assert ideal.contains(mono) == brute, mono
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            ((1, 1), (1, 1)),  # a repeated generator
+            ((0, 1), (2, 1)),  # a divisor before its multiple
+            ((2, 1), (0, 1)),  # a divisor after its multiple
+            ((3, 0, 0), (0, 2, 0), (3, 2, 1), (1, 0, 0)),  # degrees 6 and 1
+        ],
+    )
+    def test_constructor_refuses_non_antichains(self, gens):
+        with pytest.raises(ValueError, match="antichain"):
+            MonomialIdeal(len(gens[0]), gens)
+
+    def test_constructor_accepts_equal_degree_antichain(self):
+        gens = ((2, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 2), (1, 0, 1))
+        ideal = MonomialIdeal(3, gens)
+        assert ideal.min_gens == gens
+        assert MonomialIdeal(2, ()).contains((5, 5)) is False
+
+    def test_packed_fields_leave_equality_and_pickling_alone(self):
+        a = minimal_generators(*GOLDEN)
+        b = MonomialIdeal(a.n, a.min_gens)
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == f"MonomialIdeal(n={a.n}, min_gens={a.min_gens!r})"
+        c = pickle.loads(pickle.dumps(a))
+        assert c == a and c.contains((3, 0, 0, 0)) and not c.contains((1, 0, 0, 0))
 
 
 class TestCriticalSets:

@@ -26,6 +26,7 @@ from acigb.sequences import (
     riordan,
     s_binom,
     s_catalan_triangle,
+    spin_catalan_degeneracies,
     spin_catalan_degeneracy,
     spin_path_count,
     type_classify,
@@ -302,6 +303,11 @@ class TestSpin:
                 assert spin_catalan_degeneracy(sigma, N) == spin_path_count(
                     sigma, N
                 ), (sigma, N)
+
+    def test_one_sequence_scan_matches_path_count(self):
+        for sigma in (Fraction(1, 2), 1, Fraction(3, 2)):
+            got = spin_catalan_degeneracies(sigma, 30)
+            assert got == [spin_path_count(sigma, N) for N in range(31)], sigma
 
     def test_half_spin_walks_are_dyck_paths(self):
         for half_n in range(1, 7):
