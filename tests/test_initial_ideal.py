@@ -7,7 +7,6 @@ import random
 import pytest
 
 from acigb.algebra import mono_divides
-
 from acigb.hilbert import hf, hs_complete_intersection, truncate_lefschetz
 from acigb.initial_ideal import (
     CriticalSets,
