@@ -538,9 +538,10 @@ def reduce_full(
     return SparsePoly(f.n, field, remainder)
 
 
-def clear_denominators(f: SparsePoly) -> SparsePoly:
+def clear_denominators(f: SparsePoly, lead: Mono | None = None) -> SparsePoly:
     """Primitive integer form: scale by the denominator lcm, divide out the
-    content, keep the sign of the grevlex leading coefficient positive."""
+    content, keep the sign of the coefficient of lead positive; lead
+    defaults to the grevlex leading monomial."""
     if f.field.p is not None:
         raise ValueError("clear_denominators expects rational coefficients")
     if f.is_zero():
@@ -552,8 +553,9 @@ def clear_denominators(f: SparsePoly) -> SparsePoly:
     content = 0
     for v in ints.values():
         content = math.gcd(content, v)
-    lm = max(ints, key=grevlex(f.n).key)
-    sign = -1 if ints[lm] < 0 else 1
+    if lead is None:
+        lead = max(ints, key=grevlex(f.n).key)
+    sign = -1 if ints[lead] < 0 else 1
     return SparsePoly(
         f.n, f.field, {m: Fraction(v // (sign * content)) for m, v in ints.items()}
     )

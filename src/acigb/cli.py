@@ -74,10 +74,8 @@ from .paths import (
 )
 from .sequences import (
     MSpec,
-    catalan,
+    classical_row,
     gb_degree_sequence,
-    motzkin,
-    riordan,
     s_catalan_triangle,
     spin_catalan_degeneracies,
 )
@@ -87,6 +85,11 @@ __all__ = ["main", "verify_all"]
 
 
 SEQ_FAMILIES = ("g", "motzkin", "riordan", "catalan", "s-catalan", "spin")
+
+# The largest ``seq`` request: a bound on the decimal digits it prints for
+# the number families, on the series coefficients the scan builds for g and
+# spin.
+SEQ_BUDGET = 4_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +294,52 @@ def _single_int_m(text, family: str) -> int:
     return values[0]
 
 
+def _power_digits(b: int, e: int) -> int:
+    """An upper bound on the decimal digits of b**e in integers: b**16 < 2**L
+    gives b**e < 2**(e * L / 16), and log10(2) < 30103 / 10**5."""
+    return e * (b**16).bit_length() * 30103 // 1_600_000 + 1
+
+
+def _scan_size(mspec: MSpec, k: int, d_max: int) -> int:
+    """An upper bound on the series coefficients that
+    ``gb_degree_sequence(mspec, k, d_max)`` builds, counted up to the budget.
+
+    The level after a prefix of socle degree D starts in degree k + D - delta,
+    which is at least k and, as delta <= (D + k - 1) / 2, at least
+    (D + k + 1) / 2; the scan stops at the first level that starts above
+    d_max.  A finite prefix ends the count where it runs out.
+    """
+    if k < 1:
+        raise ValueError("power must be at least 1")
+    size, D, n = 0, 0, 1
+    while size <= SEQ_BUDGET and k <= d_max and D + k + 1 <= 2 * d_max:
+        if n > len(mspec.prefix) and mspec.tail is None:
+            break
+        D += mspec.entry(n) - 1
+        size += D + 1
+        n += 1
+    return size
+
+
+def _capped_sum(terms) -> int:
+    total = 0
+    for t in terms:
+        total += t
+        if total > SEQ_BUDGET:
+            break
+    return total
+
+
+def _check_budget(size, n_max: int, least: int, other: str) -> None:
+    """Refuse when size(--max) passes the budget, naming --max, or the other
+    flags when even size(least) passes it."""
+    if size(n_max) > SEQ_BUDGET:
+        flag = other if size(least) > SEQ_BUDGET else "--max"
+        raise ValueError(
+            f"seq request over the size budget of {SEQ_BUDGET}; lower {flag}"
+        )
+
+
 def _seq_payload(ns: argparse.Namespace) -> dict:
     if ns.max < 0:
         raise ValueError(f"--max must be at least 0, got {ns.max}")
@@ -298,6 +347,7 @@ def _seq_payload(ns: argparse.Namespace) -> dict:
     if family == "g":
         mspec = parse_mspec(_require(ns.m, "--m", family))
         k = _require(ns.k, "--k", family)
+        _check_budget(lambda d: _scan_size(mspec, k, d), ns.max, k, "--m or --k")
         values = gb_degree_sequence(mspec, k, ns.max).values
         return {
             "family": "g",
@@ -306,13 +356,27 @@ def _seq_payload(ns: argparse.Namespace) -> dict:
             "values": [[d, c] for d, c in values],
         }
     if family in ("motzkin", "riordan", "catalan"):
-        fn = {"motzkin": motzkin, "riordan": riordan, "catalan": catalan}[family]
+        # every term lies below 4^i (Catalan) or 3^i
+        base = 4 if family == "catalan" else 3
+        _check_budget(
+            lambda n: _capped_sum(_power_digits(base, i) for i in range(n + 1)),
+            ns.max, 0, "--max",
+        )
         return {
             "family": family,
-            "values": [[i, fn(i)] for i in range(ns.max + 1)],
+            "values": [[i, v] for i, v in enumerate(classical_row(family, ns.max))],
         }
     if family == "s-catalan":
         m_val = _single_int_m(_require(ns.m, "--m", family), family)
+        if m_val >= 2:  # a smaller --m is refused before any work
+            # row n holds (m - 1) n + 1 entries, each below m^(2n)
+            _check_budget(
+                lambda n: _capped_sum(
+                    ((m_val - 1) * i + 1) * _power_digits(m_val, 2 * i)
+                    for i in range(n + 1)
+                ),
+                ns.max, 1, "--m",
+            )
         triangle = s_catalan_triangle(m_val, ns.max)
         return {
             "family": "s-catalan",
@@ -323,6 +387,14 @@ def _seq_payload(ns: argparse.Namespace) -> dict:
     if family == "spin":
         m_val = _single_int_m(_require(ns.m, "--m", family), family)
         sigma = Fraction(m_val - 1, 2)
+        if m_val >= 2:  # a smaller --m is refused before any work
+            # N particles read degree (m - 1) N / 2 + 1 of the sequence for k = 1
+            _check_budget(
+                lambda n: _scan_size(
+                    MSpec.constant(m_val), 1, (m_val - 1) * n // 2 + 1
+                ),
+                ns.max, 0, "--m",
+            )
         values = spin_catalan_degeneracies(sigma, ns.max)
         return {
             "family": "spin",

@@ -270,16 +270,18 @@ def counting_identity(p, q, r) -> bool:
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Reduced basis: monic elements whose leading monomials form the minimal
-    generating antichain of the initial ideal, tails outside it."""
+    generating antichain of the initial ideal, tails outside it; leads[i] is
+    the leading monomial of elements[i]."""
 
     n: int
     m: tuple
     k: int
     order: TermOrder
     elements: tuple
+    leads: tuple
 
     def leading_monomials(self) -> tuple:
-        return tuple(g.leading_term(self.order)[0] for g in self.elements)
+        return self.leads
 
     def fingerprint(self) -> frozenset:
         """Marked basis: each element together with its leading monomial.
@@ -290,16 +292,16 @@ class GroebnerBasis:
         ideals differ, and they count as different bases.
         """
         return frozenset(
-            (g.leading_term(self.order)[0], g.fingerprint()) for g in self.elements
+            (lead, g.fingerprint()) for lead, g in zip(self.leads, self.elements)
         )
 
 
-def sort_elements(elements: list, order: TermOrder) -> tuple:
-    # ascending degree; within a degree the higher leading monomial first
-    ranked = sorted(
-        elements, key=lambda g: order.key(g.leading_term(order)[0]), reverse=True
-    )
-    return tuple(sorted(ranked, key=lambda g: g.degree()))
+def sort_elements(pairs: list, order: TermOrder) -> tuple:
+    """(leads, elements) of (leading monomial, element) pairs, in ascending
+    degree and, within a degree, the higher leading monomial first."""
+    ranked = sorted(pairs, key=lambda p: order.key(p[0]), reverse=True)
+    ranked.sort(key=lambda p: mono_degree(p[0]))
+    return tuple(p[0] for p in ranked), tuple(p[1] for p in ranked)
 
 
 def reduced_gb(n: int, m, k: int, ranking=None, kind: str = "grevlex") -> GroebnerBasis:
@@ -307,7 +309,8 @@ def reduced_gb(n: int, m, k: int, ranking=None, kind: str = "grevlex") -> Groebn
 
     The basis depends only on the variable ranking, so the computation runs
     in a relabeled frame where the ranking is the identity, then maps the
-    variables back.
+    variables back.  Each element's leading monomial is the pure power or
+    critical monomial s it is built from.
     """
     m = check_degree_vector(m)
     if len(m) != n:
@@ -329,11 +332,11 @@ def reduced_gb(n: int, m, k: int, ranking=None, kind: str = "grevlex") -> Groebn
     def back(mono):
         return tuple(map(mono.__getitem__, src))
 
-    elements = []
+    pairs = []
     for j in range(1, n + 1):
         if not pure_power_removed(m_perm, k, j):
-            mono = tuple(m_perm[j - 1] if i == j - 1 else 0 for i in range(n))
-            elements.append(SparsePoly.monomial(n, back(mono), QQ))
+            mono = back(tuple(m_perm[j - 1] if i == j - 1 else 0 for i in range(n)))
+            pairs.append((mono, SparsePoly.monomial(n, mono, QQ)))
     crit = critical_sets(n, m_perm, k)
     for j in range(1, n + 1):
         for s in crit.by_index[j - 1]:
@@ -341,8 +344,10 @@ def reduced_gb(n: int, m, k: int, ranking=None, kind: str = "grevlex") -> Groebn
             if relabel:
                 # a bijection on monomials: nothing merges or cancels
                 g = SparsePoly(n, QQ, {back(mo): c for mo, c in g.terms.items()})
-            elements.append(g)
-    return GroebnerBasis(n, m, k, order, sort_elements(elements, order))
+                s = back(s)
+            pairs.append((s, g))
+    leads, elements = sort_elements(pairs, order)
+    return GroebnerBasis(n, m, k, order, elements, leads)
 
 
 def distinct_gb_census(n: int, m, k: int) -> int:

@@ -1,33 +1,35 @@
 """Hilbert series of monomial complete intersections and their Lefschetz
 truncations.
 
-Series are dense integer coefficient lists indexed by degree. The quotient by
-a generic power of the variable sum has Hilbert series equal to the original
-series times (1 - t^k), cut at the first non-positive coefficient; the last
-surviving index is the socle degree and is also given by a two-case closed
-formula. Both routes are always computed and must agree.
+Series are dense integer coefficient lists indexed by degree, built one factor
+1 + t + ... + t^(m_i - 1) at a time. The quotient by a generic power of the
+variable sum has Hilbert series equal to the original series times (1 - t^k),
+cut at the first non-positive coefficient; the last surviving index is the
+socle degree and is also given by a two-case closed formula. Both routes are
+always computed and must agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
 
 from .algebra import check_degree_vector
 
 Series = tuple
 
 
+def extend_series(series: Series, mi: int) -> Series:
+    """The series times 1 + t + ... + t^(mi - 1): each coefficient is the sum
+    of a window of mi coefficients, read off running sums."""
+    sums = list(accumulate(series + (0,) * (mi - 1)))
+    return tuple(sums[:mi] + [a - b for a, b in zip(sums[mi:], sums)])
+
+
 def hs_complete_intersection(m) -> Series:
     """Coefficients of prod_i (1 + t + ... + t^(m_i - 1))."""
-    m = check_degree_vector(m)
-    coeffs = [1]
-    for mi in m:
-        nxt = [0] * (len(coeffs) + mi - 1)
-        for d, c in enumerate(coeffs):
-            for e in range(mi):
-                nxt[d + e] += c
-        coeffs = nxt
-    return tuple(coeffs)
+    return reduce(extend_series, check_degree_vector(m), (1,))
 
 
 def hf(series: Series, d: int) -> int:
@@ -91,35 +93,40 @@ def type_classify(m_prefix, k: int) -> TypeInfo:
     return TypeInfo(sigma, tau, k >= sigma - tau - 1)
 
 
-def socle_degrees(m_prefix, k: int) -> tuple:
-    """(D_j, delta_j) for the prefix of length j.
+def series_socle(series: Series, sigma: int, k: int, m) -> tuple:
+    """(D, delta) of the complete intersection with this series and largest
+    exponent sigma (0 for the empty product); m names the exponents in the
+    error.
 
-    D_j is the socle degree of the complete intersection, delta_j the socle
+    D is the socle degree of the complete intersection, delta the socle
     degree after quotienting by the k-th power of the variable sum. delta is
     computed by the two-case closed formula and independently by Lefschetz
     truncation; any mismatch is a hard error.
     """
+    D = len(series) - 1
+    tau = D - (sigma - 1)
+    if k > D:
+        # the power already lies in the complete intersection
+        delta = D
+    elif k >= sigma - tau - 1:
+        delta = (D + k - 1) // 2
+    else:
+        delta = tau + k - 1
+    delta_series = len(truncate_lefschetz(series, k)) - 1
+    if delta != delta_series:
+        raise RuntimeError(
+            f"socle degree mismatch for m={tuple(m)}, k={k}: "
+            f"formula {delta} vs truncation {delta_series}"
+        )
+    return D, delta
+
+
+def socle_degrees(m_prefix, k: int) -> tuple:
+    """(D_j, delta_j) for the prefix of length j, as ``series_socle``."""
     m_prefix = tuple(m_prefix)
-    j = len(m_prefix)
-    if j == 0:
+    if not m_prefix:
         return 0, 0
     check_degree_vector(m_prefix)
     if k < 1:
         raise ValueError("power must be at least 1")
-    D = sum(v - 1 for v in m_prefix)
-    info = type_classify(m_prefix, k)
-    if k > D:
-        # the power already lies in the complete intersection
-        delta = D
-    elif info.type1:
-        delta = (D + k - 1) // 2
-    else:
-        delta = info.tau + k - 1
-    truncated = truncate_lefschetz(hs_complete_intersection(m_prefix), k)
-    delta_series = len(truncated) - 1
-    if delta != delta_series:
-        raise RuntimeError(
-            f"socle degree mismatch for m={m_prefix}, k={k}: "
-            f"formula {delta} vs truncation {delta_series}"
-        )
-    return D, delta
+    return series_socle(hs_complete_intersection(m_prefix), max(m_prefix), k, m_prefix)

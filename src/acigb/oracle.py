@@ -74,7 +74,8 @@ def spoly(f: SparsePoly, g: SparsePoly, order: TermOrder) -> SparsePoly:
 
 
 def _interreduce(table: list, order: TermOrder) -> list:
-    """Reduced basis from the lead table of a Groebner basis."""
+    """Reduced basis from the lead table of a Groebner basis, as (leading
+    monomial, monic element) pairs."""
     # minimality first: drop any element whose leading monomial another divides
     kept: list = []
     for entry in sorted(table, key=lambda e: order.key(e[0])):
@@ -90,11 +91,12 @@ def _interreduce(table: list, order: TermOrder) -> list:
             if h != g:
                 kept[i] = (lm, lc, h)
                 changed = True
-    return [g.scale(g.field.inv(lc)) for _, lc, g in kept]
+    return [(lm, g.scale(g.field.inv(lc))) for lm, lc, g in kept]
 
 
 def buchberger(gens: list, cfg: OracleConfig) -> tuple:
-    """Reduced Groebner basis of the ideal the generators span.
+    """Reduced Groebner basis of the ideal the generators span, as (leading
+    monomial, monic element) pairs.
 
     Normal selection strategy with the coprimality and chain criteria: the
     pairs wait in a heap of ``(order.key(lcm), i, j)``, i > j, pushed once
@@ -155,8 +157,8 @@ def oracle_reduced_gb(n: int, m, k: int, cfg: OracleConfig | None = None) -> Gro
     if cfg is None:
         cfg = OracleConfig(order=grevlex(n))
     gens = power_sum_generators(n, m, k, cfg.field)
-    elements = buchberger(gens, cfg)
-    return GroebnerBasis(n, tuple(m), k, cfg.order, sort_elements(list(elements), cfg.order))
+    leads, elements = sort_elements(buchberger(gens, cfg), cfg.order)
+    return GroebnerBasis(n, tuple(m), k, cfg.order, elements, leads)
 
 
 def verify_is_gb(candidate, gens: list, cfg: OracleConfig) -> bool:
@@ -176,17 +178,14 @@ def verify_is_gb(candidate, gens: list, cfg: OracleConfig) -> bool:
     for g in gens:
         if not reduce_full(g, elements, order).is_zero():
             return False
-    reference = buchberger(gens, cfg)
-    return all(
-        reduce_full(f, list(reference), order).is_zero() for f in elements
-    )
+    reference = [g for _, g in buchberger(gens, cfg)]
+    return all(reduce_full(f, reference, order).is_zero() for f in elements)
 
 
 def initial_ideal_oracle(n: int, m, k: int, cfg: OracleConfig | None = None) -> MonomialIdeal:
     gb = oracle_reduced_gb(n, m, k, cfg)
     # a reduced basis has minimal leading monomials, which the ideal checks
-    lms = [g.leading_term(gb.order)[0] for g in gb.elements]
-    return MonomialIdeal(n, tuple(sorted(lms, key=grevlex(n).key, reverse=True)))
+    return MonomialIdeal(n, tuple(sorted(gb.leads, key=grevlex(n).key, reverse=True)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,17 @@ spin degeneracies of decoherence-free states.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import islice
 
 from .algebra import check_degree_vector
 from .hilbert import (
     TypeInfo,
+    extend_series,
     hf,
     hs_complete_intersection,
-    socle_degrees,
-    truncate_lefschetz,
+    series_socle,
     type_classify,
 )
 
@@ -35,6 +34,7 @@ __all__ = [
     "g3k_sequence",
     "n_of_degree",
     "max_gb_degree",
+    "classical_row",
     "motzkin",
     "riordan",
     "catalan",
@@ -115,21 +115,32 @@ class DegreeSequence:
         return self.values[d - lo][1]
 
 
-def _level_frame(prefix, m_n: int, k: int):
-    """(d_min, e_max, delta, series) for the level after the prefix, or None
-    when no m-free generator uses that variable."""
-    D, delta = socle_degrees(prefix, k)
+def _levels(spec: MSpec, k: int):
+    """(D, delta, series) of the prefix x_1 .. x_{n-1} for the levels
+    n = 1, 2, ...: each step multiplies the series by one more factor, and
+    reads that exponent only when the caller asks for the next level, so a
+    finite prefix runs out exactly where a scan needs more of it."""
+    if k < 1:
+        raise ValueError("power must be at least 1")
+    series, sigma, prefix = (1,), 0, []
+    while True:
+        yield series_socle(series, sigma, k, prefix) + (series,)
+        m_n = spec.entry(len(prefix) + 1)
+        prefix.append(m_n)
+        series = extend_series(series, m_n)
+        sigma = max(sigma, m_n)
+
+
+def _level_counts(level, m_n: int, k: int) -> tuple:
+    """(d_min, counts): counts[e] m-free generators using x_n lie in degree
+    d_min + e; counts is empty when no m-free generator uses x_n."""
+    D, delta, series = level
     s_n = k + D - 2 * delta
-    if s_n >= m_n:
-        return None
-    e_max = min((m_n - 1 - s_n) // 2, delta)
-    series = hs_complete_intersection(prefix)
-    return k + D - delta, e_max, delta, series
-
-
-def _level_count(series, delta: int, e: int, k: int) -> int:
-    # HF difference of the complete intersection; equals the quotient HF
-    return max(0, hf(series, delta - e) - hf(series, delta - e - k))
+    # HF differences of the complete intersection; equal the quotient HF
+    return k + D - delta, tuple(
+        max(0, hf(series, delta - e) - hf(series, delta - e - k))
+        for e in range(min((m_n - 1 - s_n) // 2, delta) + 1)
+    )
 
 
 def gb_degree_sequence(m_spec, k: int, d_max: int) -> DegreeSequence:
@@ -141,13 +152,9 @@ def gb_degree_sequence(m_spec, k: int, d_max: int) -> DegreeSequence:
     clears d_max.  A finite prefix exhausted before that bound is an error.
     """
     spec = MSpec.coerce(m_spec)
-    if k < 1:
-        raise ValueError("power must be at least 1")
-    counts = {d: 0 for d in range(k, d_max + 1)}
-    n = 1
-    while True:
-        prefix = spec.truncation(n - 1)
-        D, delta = socle_degrees(prefix, k)
+    counts: dict = {}
+    for n, level in enumerate(_levels(spec, k), 1):
+        D, delta, _ = level
         if k + D - delta > d_max:
             break
         try:
@@ -156,33 +163,25 @@ def gb_degree_sequence(m_spec, k: int, d_max: int) -> DegreeSequence:
             raise ValueError(
                 f"exponent prefix too short to settle degrees up to {d_max}"
             ) from None
-        frame = _level_frame(prefix, m_n, k)
-        if frame is not None:
-            d_min, e_max, delta, series = frame
-            for e in range(e_max + 1):
-                d = d_min + e
-                if k <= d <= d_max:
-                    counts[d] += _level_count(series, delta, e, k)
-        n += 1
-    return DegreeSequence(spec, k, tuple(sorted(counts.items())))
+        d_min, row = _level_counts(level, m_n, k)
+        for d, c in enumerate(row, d_min):
+            counts[d] = counts.get(d, 0) + c
+    values = tuple((d, counts.get(d, 0)) for d in range(k, d_max + 1))
+    return DegreeSequence(spec, k, values)
 
 
 def crit_level_count(n: int, m_spec, k: int) -> int:
     """Number of m-free basis elements whose leading monomial uses x_n."""
     spec = MSpec.coerce(m_spec)
-    frame = _level_frame(spec.truncation(n - 1), spec.entry(n), k)
-    if frame is None:
-        return 0
-    _, e_max, delta, series = frame
-    return sum(_level_count(series, delta, e, k) for e in range(e_max + 1))
+    level = next(islice(_levels(spec, k), max(n - 1, 0), None))
+    return sum(_level_counts(level, spec.entry(n), k)[1])
 
 
 def g3k_sequence(k: int, n_max: int) -> tuple:
     """Cube-free element counts g(n), the level n + ceil(k/2) count."""
     shift = (k + 1) // 2
-    return tuple(
-        crit_level_count(n + shift, MSpec.constant(3), k) for n in range(n_max + 1)
-    )
+    levels = islice(_levels(MSpec.constant(3), k), max(shift - 1, 0), shift + n_max)
+    return tuple(sum(_level_counts(level, 3, k)[1]) for level in levels)
 
 
 def n_of_degree(d: int, m_spec, k: int) -> int:
@@ -195,19 +194,16 @@ def n_of_degree(d: int, m_spec, k: int) -> int:
     if d < k:
         raise ValueError("degree below the minimum k")
     best = None
-    nu = 1
-    while True:
-        prefix = spec.truncation(nu - 1)
-        D, delta = socle_degrees(prefix, k)
-        if (D + k) / 2 >= d:
+    for nu, level in enumerate(_levels(spec, k), 1):
+        D, _, _ = level
+        if D + k >= 2 * d:
             break
-        nonempty = _level_frame(prefix, spec.entry(nu), k) is not None
-        if nu > 1 and nonempty and not type_classify(prefix, k).type1:
+        nonempty = bool(_level_counts(level, spec.entry(nu), k)[1])
+        if nu > 1 and nonempty and not type_classify(spec.truncation(nu - 1), k).type1:
             raise ValueError(
                 f"level {nu} is unbalanced; use the full degree scan instead"
             )
         best = nu
-        nu += 1
     if best is None:
         raise ValueError(f"no level reaches degree {d}")
     return best
@@ -218,45 +214,50 @@ def max_gb_degree(n: int, m, k: int) -> int:
     m = check_degree_vector(m)
     if len(m) != n:
         raise ValueError("degree vector length must equal n")
-    for q in range(n, 0, -1):
-        frame = _level_frame(m[: q - 1], m[q - 1], k)
-        if frame is not None:
-            d_min, e_max, delta, series = frame
-            if _level_count(series, delta, 0, k) > 0:
-                return d_min + e_max
-    raise ValueError(f"no m-free basis elements for n={n}, m={m}, k={k}")
+    best = None
+    if m:
+        for m_q, level in zip(m, _levels(MSpec.finite(m), k)):
+            d_min, row = _level_counts(level, m_q, k)
+            if row and row[0] > 0:
+                best = d_min + len(row) - 1
+    if best is None:
+        raise ValueError(f"no m-free basis elements for n={n}, m={m}, k={k}")
+    return best
 
 
 # ---------------------------------------------------------------------------
 # classical sequences and convolutions
 
+# family: (x_0, x_1, x_n from n, x_{n-2} and x_{n-1})
+_RECURRENCES = {
+    "catalan": (1, 1, lambda n, a, b: b * 2 * (2 * n - 1) // (n + 1)),
+    "motzkin": (1, 1, lambda n, a, b: ((2 * n + 1) * b + 3 * (n - 1) * a) // (n + 2)),
+    "riordan": (1, 0, lambda n, a, b: (n - 1) * (2 * b + 3 * a) // (n + 1)),
+}
+
+
+def classical_row(family: str, n_max: int) -> list:
+    """Terms 0 .. n_max of the Catalan, Motzkin or Riordan numbers, each
+    from the two before it."""
+    if n_max < 0:
+        raise ValueError("index must be non-negative")
+    a, b, step = _RECURRENCES[family]
+    row = [a, b]
+    for n in range(2, n_max + 1):
+        row.append(step(n, row[-2], row[-1]))
+    return row[: n_max + 1]
+
 
 def catalan(n: int) -> int:
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    return math.comb(2 * n, n) // (n + 1)
+    return classical_row("catalan", n)[n]
 
 
-@lru_cache(maxsize=None)
 def motzkin(n: int) -> int:
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    if n == 0:
-        return 1
-    return motzkin(n - 1) + sum(
-        motzkin(j) * motzkin(n - 2 - j) for j in range(n - 1)
-    )
+    return classical_row("motzkin", n)[n]
 
 
-@lru_cache(maxsize=None)
 def riordan(n: int) -> int:
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    if n == 0:
-        return 1
-    if n == 1:
-        return 0
-    return (n - 1) * (2 * riordan(n - 1) + 3 * riordan(n - 2)) // (n + 1)
+    return classical_row("riordan", n)[n]
 
 
 def convolve(a, b) -> tuple:
@@ -267,34 +268,27 @@ def convolve(a, b) -> tuple:
     )
 
 
-def convolution_check(k: int, n_max: int) -> bool:
-    """g(n) for cube exponents factors as Motzkin^q * Riordan^r, k = 2q + r."""
+def _convolution_check(m: int, k: int, n_max: int, factors) -> bool:
+    """g(k + n) for n <= n_max and constant exponent m against the product
+    of the classical rows named in factors."""
     if k < 1:
         raise ValueError("power must be at least 1")
-    q, r = divmod(k, 2)
     target = (1,) + (0,) * n_max
-    motzkin_row = tuple(motzkin(i) for i in range(n_max + 1))
-    riordan_row = tuple(riordan(i) for i in range(n_max + 1))
-    for _ in range(q):
-        target = convolve(target, motzkin_row)
-    for _ in range(r):
-        target = convolve(target, riordan_row)
-    seq = gb_degree_sequence(MSpec.constant(3), k, k + n_max)
-    got = tuple(seq[k + i] for i in range(n_max + 1))
-    return got == target
+    for family in factors:
+        target = convolve(target, classical_row(family, n_max))
+    seq = gb_degree_sequence(MSpec.constant(m), k, k + n_max)
+    return tuple(seq[k + i] for i in range(n_max + 1)) == target
+
+
+def convolution_check(k: int, n_max: int) -> bool:
+    """g(n) for cube exponents factors as Motzkin^q * Riordan^r, k = 2q + r."""
+    q, r = divmod(k, 2)
+    return _convolution_check(3, k, n_max, ["motzkin"] * q + ["riordan"] * r)
 
 
 def catalan_convolution_check_m2(k: int, n_max: int) -> bool:
     """For square exponents, g(k + n) matches the k-th Catalan power series."""
-    if k < 1:
-        raise ValueError("power must be at least 1")
-    target = (1,) + (0,) * n_max
-    catalan_row = tuple(catalan(i) for i in range(n_max + 1))
-    for _ in range(k):
-        target = convolve(target, catalan_row)
-    seq = gb_degree_sequence(MSpec.constant(2), k, k + n_max)
-    got = tuple(seq[k + i] for i in range(n_max + 1))
-    return got == target
+    return _convolution_check(2, k, n_max, ["catalan"] * k)
 
 
 # ---------------------------------------------------------------------------
@@ -315,24 +309,22 @@ def s_binom(n: int, d: int, s: int):
     """Coefficient of t^d in (1 + t + ... + t^s)^n."""
     if s < 1:
         raise ValueError("s must be positive")
-    series = hs_complete_intersection((s + 1,) * n)
-    return hf(series, d)
+    return hf(hs_complete_intersection((s + 1,) * n), d)
 
 
 def s_catalan_triangle(m: int, n_max: int) -> CatalanTriangle:
     """Rows of first differences of the degree-m complete intersection HF,
-    read outward from the symmetric middle."""
+    read outward from the symmetric middle; row n extends the series of row
+    n - 1 by two factors."""
     if m < 2:
         raise ValueError("exponent must be at least 2")
     s = m - 1
     rows = [(1,)]
+    series = (1,)
     for n in range(1, n_max + 1):
-        rows.append(
-            tuple(
-                s_binom(2 * n, s * n + k, s) - s_binom(2 * n, s * n + k + 1, s)
-                for k in range(s * n + 1)
-            )
-        )
+        series = extend_series(extend_series(series, m), m)
+        upper = series[s * n :]
+        rows.append(tuple(a - b for a, b in zip(upper, upper[1:] + (0,))))
     return CatalanTriangle(s, tuple(rows))
 
 

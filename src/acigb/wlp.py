@@ -111,9 +111,8 @@ def gb_mod_p_check(n: int, m, k: int, p: int) -> bool:
     if not is_prime(p):
         raise ValueError("modulus must be prime")
     basis = reduced_gb(n, m, k)
-    for g in basis.elements:
-        lead = clear_denominators(g).leading_term(basis.order)[1]
-        if Fraction(lead).numerator % p == 0:
+    for lead, g in zip(basis.leads, basis.elements):
+        if Fraction(clear_denominators(g, lead).terms[lead]).numerator % p == 0:
             return False
     return True
 

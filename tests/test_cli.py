@@ -544,6 +544,46 @@ class TestExitCodes:
             assert err.startswith("error:") and err.count("\n") == 1
             assert "--max" in err
 
+    # the first --max whose size estimate passes cli.SEQ_BUDGET
+    FIRST_OVER_BUDGET = (
+        ("catalan", [], 3589),
+        ("motzkin", [], 4043),
+        ("riordan", [], 4043),
+        ("s-catalan", ["--m", "3"], 183),
+        ("spin", ["--m", "3"], 1999),
+        ("g", ["--m", "eq:2", "--k", "1"], 1414),
+    )
+
+    @pytest.mark.parametrize("family, extra, first_over", FIRST_OVER_BUDGET)
+    def test_seq_refuses_just_above_budget(
+        self, capsys, monkeypatch, family, extra, first_over
+    ):
+        def reached(*args):
+            raise ValueError("computation reached")
+
+        for name in ("classical_row", "gb_degree_sequence", "s_catalan_triangle",
+                     "spin_catalan_degeneracies"):
+            monkeypatch.setattr(cli_module, name, reached)
+        argv = ["seq", "--family", family] + extra
+        code, out, err = invoke(argv + ["--max", str(first_over)], capsys)
+        assert (code, out) == (1, ""), family
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "budget" in err and err.endswith("lower --max\n"), err
+        # one below passes the check and goes on to compute
+        code, _, err = invoke(argv + ["--max", str(first_over - 1)], capsys)
+        assert code == 1 and "computation reached" in err, family
+
+    def test_seq_budget_names_the_exponent_flag(self, capsys):
+        for family, extra, flag in (
+            ("s-catalan", ["--m", "100000000", "--max", "1"], "--m"),
+            ("spin", ["--m", "100000000", "--max", "0"], "--m"),
+            ("g", ["--m", "eq:100000000", "--k", "1", "--max", "1"], "--m or --k"),
+            ("g", ["--m", "eq:2", "--k", "3000", "--max", "3000"], "--m or --k"),
+        ):
+            code, out, err = invoke(["seq", "--family", family] + extra, capsys)
+            assert (code, out) == (1, ""), family
+            assert err.count("\n") == 1 and err.endswith(f"lower {flag}\n"), err
+
     def test_empty_grid_trivially_passes(self, capsys):
         code, out, _ = invoke(
             ["verify", "--n-max", "0", "--format", "text"], capsys

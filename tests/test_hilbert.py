@@ -1,11 +1,13 @@
 """Series, truncation, and socle-degree tests."""
 
 import itertools
+import random
 
 import pytest
 
 from acigb.hilbert import (
     TypeInfo,
+    extend_series,
     hf,
     hs_complete_intersection,
     is_symmetric,
@@ -16,9 +18,32 @@ from acigb.hilbert import (
 )
 
 
+def nested_loop_product(m) -> tuple:
+    """prod_i (1 + t + ... + t^(m_i - 1)), one term at a time."""
+    coeffs = [1]
+    for mi in m:
+        nxt = [0] * (len(coeffs) + mi - 1)
+        for d, c in enumerate(coeffs):
+            for e in range(mi):
+                nxt[d + e] += c
+        coeffs = nxt
+    return tuple(coeffs)
+
+
 class TestSeries:
     def test_known_product(self):
         assert hs_complete_intersection((3, 2, 2, 3)) == (1, 4, 8, 10, 8, 4, 1)
+
+    def test_one_factor_step_on_random_prefixes(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            prefix = tuple(rng.randint(2, 9) for _ in range(rng.randint(0, 6)))
+            mi = rng.randint(2, 12)
+            series = hs_complete_intersection(prefix)
+            assert series == nested_loop_product(prefix), prefix
+            step = extend_series(series, mi)
+            assert step == hs_complete_intersection(prefix + (mi,)), (prefix, mi)
+            assert step == nested_loop_product(prefix + (mi,)), (prefix, mi)
 
     def test_single_variable(self):
         assert hs_complete_intersection((5,)) == (1, 1, 1, 1, 1)

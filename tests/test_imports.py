@@ -1,4 +1,5 @@
-"""The modules of the package import each other without a cycle.
+"""The modules of the package import each other without a cycle, and none
+of them computes with floats.
 
 Imports are read from the source with ``ast``, so an import inside a
 function body counts as much as one at module level.
@@ -69,3 +70,30 @@ def test_package_import_graph_is_acyclic():
     except graphlib.CycleError as exc:
         raise AssertionError(f"import cycle: {exc.args[1]}") from None
     assert set(order) == MODULES
+
+
+def float_sites(source: str) -> list:
+    """Line numbers of every true division, float literal and float() call."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            sites.append(node.lineno)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            sites.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            sites.append(node.lineno)
+    return sorted(sites)
+
+
+def test_float_reader_sees_every_form():
+    source = "a = b / 2\nc /= 3\nd = 0.5\ne = float(f)\ng = h // 2\ni = 1j\n"
+    assert float_sites(source) == [1, 2, 3, 4, 6]
+
+
+def test_package_has_no_floats():
+    found = {
+        path.name: sites
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (sites := float_sites(path.read_text()))
+    }
+    assert found == {}

@@ -49,7 +49,7 @@ class TestBuchberger:
         x1 = SparsePoly.monomial(2, (1, 0))
         cfg = OracleConfig(order=grevlex(2))
         basis = buchberger([x1], cfg)
-        assert basis == (x1,)
+        assert basis == (((1, 0), x1),)
 
     def test_squarefree_three_variables(self):
         got = oracle_reduced_gb(3, (2, 2, 2), 1)
@@ -77,14 +77,15 @@ class TestBuchberger:
         capped = buchberger(
             power_sum_generators(n, m, k), OracleConfig(order=grevlex(n), degree_cap=cap)
         )
-        low = lambda basis: {g for g in basis if g.degree() <= cap}
+        low = lambda basis: {g for _, g in basis if g.degree() <= cap}
         assert low(capped) == low(full)
 
     def test_degree_cap_refused_on_inhomogeneous_input(self):
         gens = [SparsePoly.from_terms(2, [((2, 0), 1), ((0, 1), 1)])]
         with pytest.raises(ValueError, match="homogeneous"):
             buchberger(gens, OracleConfig(order=grevlex(2), degree_cap=3))
-        assert buchberger(gens, OracleConfig(order=grevlex(2))) == tuple(gens)
+        basis = buchberger(gens, OracleConfig(order=grevlex(2)))
+        assert basis == (((2, 0), gens[0]),)
 
     def test_generator_order_does_not_matter(self):
         # the pair heap breaks lcm ties by index, so permuting the input
@@ -106,7 +107,7 @@ class TestBuchberger:
     def test_modular_basis_verifies(self):
         cfg = OracleConfig(order=grevlex(3), p=7)
         gens = power_sum_generators(3, (3, 2, 3), 2, cfg.field)
-        basis = buchberger(gens, cfg)
+        basis = [g for _, g in buchberger(gens, cfg)]
         assert verify_is_gb(basis, gens, cfg)
 
     def test_char_two_initial_ideal_matches_rational_here(self):
@@ -121,10 +122,29 @@ class TestBuchberger:
         # vanished cross terms must not be mistaken for leading terms
         cfg = OracleConfig(order=grevlex(3), p=2)
         gens = power_sum_generators(3, (2, 3, 4), 2, cfg.field)
-        basis = buchberger(gens, cfg)
+        basis = [g for _, g in buchberger(gens, cfg)]
         assert verify_is_gb(basis, gens, cfg)
         lms = {g.leading_term(cfg.order)[0] for g in basis}
         assert (0, 2, 0) in lms
+
+
+class TestStoredLeads:
+    def test_both_engines_store_each_leading_monomial(self):
+        # verify compares marked bases, so the stored leads must be what the
+        # order itself picks from every element
+        for n, m, k in small_grid():
+            reverse = tuple(range(n, 0, -1))
+            for kind, ranking in itertools.product(
+                ("grevlex", "grlex"), (tuple(range(1, n + 1)), reverse)
+            ):
+                order = TermOrder(kind, ranking)
+                for basis in (
+                    reduced_gb(n, m, k, ranking=ranking, kind=kind),
+                    oracle_reduced_gb(n, m, k, OracleConfig(order)),
+                ):
+                    want = tuple(g.leading_term(order)[0] for g in basis.elements)
+                    assert basis.leads == want, (n, m, k, order)
+                    assert basis.leading_monomials() == want
 
 
 class TestThirdEngine:

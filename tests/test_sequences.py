@@ -1,13 +1,14 @@
 """Degree-count sequences, convolutions, triangle, and spin tests."""
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from acigb.initial_ideal import critical_sets_paths, hf_quotient, minimal_generators
-from acigb.hilbert import socle_degrees
+from acigb.hilbert import hf, hs_complete_intersection, socle_degrees
 from acigb.sequences import (
     CatalanTriangle,
     DegreeSequence,
@@ -83,7 +84,7 @@ class TestDegreeSequence:
         assert seq[2] == 0
 
     def test_prefix_too_short(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exponent prefix too short"):
             gb_degree_sequence(MSpec.finite((3, 2)), 2, 10)
 
     def test_out_of_range_degree(self):
@@ -121,6 +122,149 @@ class TestDegreeSequence:
                         assert seen.setdefault(d, j) == j, (m, k, d)
 
 
+# reference: every level rebuilt from its own prefix, with the prefix's
+# series and socle degrees computed from nothing
+
+
+def ref_level_frame(prefix, m_n, k):
+    D, delta = socle_degrees(prefix, k)
+    s_n = k + D - 2 * delta
+    if s_n >= m_n:
+        return None
+    e_max = min((m_n - 1 - s_n) // 2, delta)
+    return k + D - delta, e_max, delta, hs_complete_intersection(prefix)
+
+
+def ref_level_count(series, delta, e, k):
+    return max(0, hf(series, delta - e) - hf(series, delta - e - k))
+
+
+def ref_gb_degree_sequence(spec, k, d_max):
+    counts = {d: 0 for d in range(k, d_max + 1)}
+    n = 1
+    while True:
+        prefix = spec.truncation(n - 1)
+        D, delta = socle_degrees(prefix, k)
+        if k + D - delta > d_max:
+            break
+        try:
+            m_n = spec.entry(n)
+        except ValueError:
+            raise ValueError(
+                f"exponent prefix too short to settle degrees up to {d_max}"
+            ) from None
+        frame = ref_level_frame(prefix, m_n, k)
+        if frame is not None:
+            d_min, e_max, delta, series = frame
+            for e in range(e_max + 1):
+                if k <= d_min + e <= d_max:
+                    counts[d_min + e] += ref_level_count(series, delta, e, k)
+        n += 1
+    return tuple(sorted(counts.items()))
+
+
+def ref_crit_level_count(n, spec, k):
+    frame = ref_level_frame(spec.truncation(n - 1), spec.entry(n), k)
+    if frame is None:
+        return 0
+    _, e_max, delta, series = frame
+    return sum(ref_level_count(series, delta, e, k) for e in range(e_max + 1))
+
+
+def ref_n_of_degree(d, spec, k):
+    if d < k:
+        raise ValueError("degree below the minimum k")
+    best = None
+    nu = 1
+    while True:
+        prefix = spec.truncation(nu - 1)
+        D, _ = socle_degrees(prefix, k)
+        if D + k >= 2 * d:
+            break
+        nonempty = ref_level_frame(prefix, spec.entry(nu), k) is not None
+        if nu > 1 and nonempty and not type_classify(prefix, k).type1:
+            raise ValueError(
+                f"level {nu} is unbalanced; use the full degree scan instead"
+            )
+        best = nu
+        nu += 1
+    if best is None:
+        raise ValueError(f"no level reaches degree {d}")
+    return best
+
+
+def ref_max_gb_degree(n, m, k):
+    for q in range(n, 0, -1):
+        frame = ref_level_frame(m[: q - 1], m[q - 1], k)
+        if frame is not None:
+            d_min, e_max, delta, series = frame
+            if ref_level_count(series, delta, 0, k) > 0:
+                return d_min + e_max
+    raise ValueError(f"no m-free basis elements for n={n}, m={m}, k={k}")
+
+
+def outcome(fn, *args):
+    """The value, or the type and message of the error raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def random_specs(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        prefix = tuple(rng.randint(2, 6) for _ in range(rng.randint(1, 5)))
+        if rng.randint(0, 1):
+            yield MSpec.finite(prefix)
+        else:
+            yield MSpec.constant(rng.randint(2, 6))
+
+
+class TestScanAgainstPrefixFormulas:
+    def test_degree_sequence(self):
+        rng = random.Random(11)
+        for spec in random_specs(1, 120):
+            for k in range(1, 6):
+                d_max = rng.randint(0, 24)
+                want = outcome(ref_gb_degree_sequence, spec, k, d_max)
+                got = outcome(lambda: gb_degree_sequence(spec, k, d_max).values)
+                assert got == want, (spec, k, d_max)
+
+    def test_level_counts_degrees_and_maxima(self):
+        for spec in random_specs(2, 60):
+            for k in range(1, 6):
+                for n in range(1, 9):
+                    want = outcome(ref_crit_level_count, n, spec, k)
+                    assert outcome(crit_level_count, n, spec, k) == want, (spec, k, n)
+                for d in range(k, k + 12):
+                    want = outcome(ref_n_of_degree, d, spec, k)
+                    assert outcome(n_of_degree, d, spec, k) == want, (spec, k, d)
+                if spec.tail is None:
+                    n, m = len(spec.prefix), spec.prefix
+                    want = outcome(ref_max_gb_degree, n, m, k)
+                    assert outcome(max_gb_degree, n, m, k) == want, (m, k)
+
+    def test_cube_free_counts(self):
+        for k in range(1, 6):
+            shift = (k + 1) // 2
+            want = tuple(
+                ref_crit_level_count(n + shift, MSpec.constant(3), k) for n in range(13)
+            )
+            assert g3k_sequence(k, 12) == want, k
+
+    def test_catalan_triangle_rows(self):
+        for m in range(2, 7):
+            s = m - 1
+            tri = s_catalan_triangle(m, 12)
+            for n in range(13):
+                want = tuple(
+                    s_binom(2 * n, s * n + j, s) - s_binom(2 * n, s * n + j + 1, s)
+                    for j in range(s * n + 1)
+                )
+                assert tri.rows[n] == want, (m, n)
+
+
 class TestCubeTable:
     def test_formula_route_all_rows(self):
         for k, row in TABLE_CUBES.items():
@@ -152,6 +296,18 @@ class TestClassicalSequences:
 
     def test_motzkin_riordan_identity(self):
         assert all(motzkin(n) == riordan(n) + riordan(n + 1) for n in range(21))
+
+    def test_first_call_far_out(self):
+        # no recursion and no cache: a first call at 3000 runs the recurrence
+        c, m, r = [1], [1, 1], [1, 0]
+        for n in range(1, 3002):
+            c.append(c[-1] * 2 * (2 * n - 1) // (n + 1))
+            if n >= 2:
+                m.append(((2 * n + 1) * m[-1] + 3 * (n - 1) * m[-2]) // (n + 2))
+                r.append((n - 1) * (2 * r[-1] + 3 * r[-2]) // (n + 1))
+        assert catalan(3000) == c[3000] == math.comb(6000, 3000) // 3001
+        assert motzkin(3000) == m[3000] == riordan(3000) + riordan(3001)
+        assert riordan(3000) == r[3000]
 
     def test_negative_index_rejected(self):
         for fn in (motzkin, riordan, catalan):
