@@ -45,9 +45,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import (
     TermOrder,
+    check_degree_vector,
     coeff_to_str,
     grevlex,
     mono_to_text,
@@ -86,9 +88,9 @@ __all__ = ["main", "verify_all"]
 
 SEQ_FAMILIES = ("g", "motzkin", "riordan", "catalan", "s-catalan", "spin")
 
-# The largest ``seq`` request: a bound on the decimal digits it prints for
-# the number families, on the series coefficients the scan builds for g and
-# spin.
+# The largest ``seq`` or ``hilbert`` request: a bound on the decimal digits
+# ``seq`` prints for the number families, and on the digits of the series
+# coefficients that the g and spin scan or ``hilbert`` builds.
 SEQ_BUDGET = 4_000_000
 
 
@@ -115,6 +117,16 @@ def _routes(text, flag: str) -> tuple:
     return tuple(part.strip() for part in str(text).split(",") if part.strip())
 
 
+def _check_width(width: int, flag: str) -> None:
+    # refused before the tuple is built: eq:3:100000000 alone would take
+    # 800 MB, and no subcommand finishes on a vector this long
+    if width > SEQ_BUDGET:
+        raise ValueError(
+            f"{flag} asks for {width} variables, over the size budget of "
+            f"{SEQ_BUDGET}; lower {flag}"
+        )
+
+
 def parse_m(spec, n=None):
     """Exponent vector from its flag syntax; returns (n, m)."""
     text = str(spec).strip()
@@ -125,9 +137,11 @@ def parse_m(spec, n=None):
         width = _int(parts[2], "--m")
         if n is not None and n != width:
             raise ValueError(f"--n {n} disagrees with --m {text}")
+        _check_width(width, "--m")
         return width, (_int(parts[1], "--m"),) * width
     values = _int_list(text, "--m")
     if len(values) == 1 and n is not None:
+        _check_width(n, "--n")
         return n, values * n
     if n is not None and n != len(values):
         raise ValueError(f"--n {n} disagrees with --m of length {len(values)}")
@@ -157,8 +171,45 @@ def _jsonable(value):
     return value
 
 
+def _encode(value, indent: str) -> str:
+    """``value`` at this indent, byte for byte as the stdlib's ``json.dumps``
+    writes it with ``indent=2``, for the types the payloads use: str keys,
+    dict, list, tuple, str, int, bool and None.  Any other type raises
+    TypeError.  With ``indent`` set the stdlib runs its pure-Python encoder,
+    which cost more than computing a large basis."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        # _quote raises TypeError on a key that is not a str
+        body = (",\n" + inner).join(
+            [f"{_quote(key)}: {_encode(item, inner)}" for key, item in value.items()]
+        )
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        if set(map(type, value)) == {int}:
+            body = (",\n" + inner).join(map(int.__repr__, value))
+        else:
+            body = (",\n" + inner).join([_encode(item, inner) for item in value])
+        return f"[\n{inner}{body}\n{indent}]"
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
 def _dumps(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """The one JSON writer of every subcommand."""
+    return _encode(payload, "") + "\n"
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -259,6 +310,11 @@ def _cmd_crit(ns: argparse.Namespace) -> tuple:
 
 
 def _cmd_hilbert(ns: argparse.Namespace) -> tuple:
+    # the series of every prefix of m is built on the way to the whole
+    if _series_size(check_degree_vector(ns.m)) > SEQ_BUDGET:
+        raise ValueError(
+            f"hilbert request over the size budget of {SEQ_BUDGET}; lower --m"
+        )
     series = hs_complete_intersection(ns.m)
     quotient = truncate_lefschetz(series, ns.k)
     socle_D, delta = socle_degrees(ns.m, ns.k)
@@ -300,8 +356,25 @@ def _power_digits(b: int, e: int) -> int:
     return e * (b**16).bit_length() * 30103 // 1_600_000 + 1
 
 
+def _series_size(exponents) -> int:
+    """An upper bound on the decimal digits of the series that multiplying in
+    1 + t + ... + t^(m_i - 1) one exponent at a time builds, counted up to
+    the budget.  After the factors so far, of socle degree D, the series holds
+    D + 1 coefficients, each at most the product of those exponents (the
+    coefficient sum); a number below 2^L has at most L * 30103 // 10**5 + 1
+    digits."""
+    size, D, product = 0, 0, 1
+    for m_i in exponents:
+        D += m_i - 1
+        product *= m_i
+        size += (D + 1) * (product.bit_length() * 30103 // 100_000 + 1)
+        if size > SEQ_BUDGET:
+            break
+    return size
+
+
 def _scan_size(mspec: MSpec, k: int, d_max: int) -> int:
-    """An upper bound on the series coefficients that
+    """An upper bound on the digits of the series coefficients that
     ``gb_degree_sequence(mspec, k, d_max)`` builds, counted up to the budget.
 
     The level after a prefix of socle degree D starts in degree k + D - delta,
@@ -311,14 +384,18 @@ def _scan_size(mspec: MSpec, k: int, d_max: int) -> int:
     """
     if k < 1:
         raise ValueError("power must be at least 1")
-    size, D, n = 0, 0, 1
-    while size <= SEQ_BUDGET and k <= d_max and D + k + 1 <= 2 * d_max:
-        if n > len(mspec.prefix) and mspec.tail is None:
-            break
-        D += mspec.entry(n) - 1
-        size += D + 1
-        n += 1
-    return size
+
+    def exponents():
+        D, n = 0, 1
+        while k <= d_max and D + k + 1 <= 2 * d_max:
+            if n > len(mspec.prefix) and mspec.tail is None:
+                return
+            m_n = mspec.entry(n)
+            yield m_n
+            D += m_n - 1
+            n += 1
+
+    return _series_size(exponents())
 
 
 def _capped_sum(terms) -> int:

@@ -1,18 +1,26 @@
-"""The benchmark's traced pass names only functions the package still has.
+"""What the benchmark relies on, checked by the test suite.
 
 ``perfbench/layer_trace.py`` wraps functions and methods of ``acigb`` by
-name.  A rename in the package would otherwise surface only when a traced
-benchmark pass fails; here it fails the test suite instead.
+name, and ``perfbench/catalogue.json`` pins the SHA-256 of every output the
+benchmark runs.  A rename in the package, or a change of one output byte,
+would otherwise surface only when a benchmark run fails; here it fails the
+test suite instead.
 """
 
+import hashlib
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-LAYER_TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layer_trace.py"
+from acigb import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+LAYER_TRACE = PERFBENCH / "layer_trace.py"
+CATALOGUE = PERFBENCH / "catalogue.json"
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +61,16 @@ def test_every_traced_name_resolves(layer_trace):
         assert callable(getattr(target, "__func__", target)), (module, qualname)
     assert not missing, f"traced names missing from acigb: {missing}"
 
+
+def test_closed_form_pairs_replay(capsys):
+    """Every job of the ``closed-form`` pairs, run through ``cli.main`` as the
+    benchmark's worker runs it, writes the bytes the catalogue pins.  The
+    headline jobs are left to the benchmark: they take seconds."""
+    pairs = json.loads(CATALOGUE.read_text())["closed-form"]["pairs"]
+    jobs = [job for pair in pairs for job in pair]
+    assert len(jobs) == 60
+    for job in jobs:
+        code = cli.main(list(job["argv"]))
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, ""), job["id"]
+        assert hashlib.sha256(out.encode()).hexdigest() == job["sha256"], job["id"]

@@ -3,14 +3,19 @@ determinism, exit codes, config handling, and the picture renderers."""
 
 import hashlib
 import json
+import time
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acigb import cli as cli_module
 from acigb.cli import (
+    SEQ_FAMILIES,
     SUBCOMMANDS,
     main,
     parse_m,
@@ -305,6 +310,118 @@ class TestJsonOutputs:
         assert target[0]["census"] == 5
 
 
+# every JSON-format subcommand on small inputs: every seq family, a finite
+# g prefix (a null tail), wlp findings with witnesses, a verify census and
+# an empty verify grid
+JSON_JOBS = [
+    ["gb", "--m", "3,2,4", "--k", "3", "--ranking", "3,1,2", "--order", "grlex"],
+    ["gb", "--m", "2", "--k", "1"],
+    ["init", "--m", "3,2,2,3", "--k", "2"],
+    ["crit", "--m", "3,2,2,3", "--k", "2"],
+    ["hilbert", "--m", "2,3,4", "--k", "3"],
+    ["seq", "--family", "g", "--m", "eq:3", "--k", "2", "--max", "8"],
+    ["seq", "--family", "g", "--m", "2,3", "--k", "1", "--max", "2"],
+    ["seq", "--family", "motzkin", "--max", "0"],
+    ["seq", "--family", "riordan", "--max", "6"],
+    ["seq", "--family", "catalan", "--max", "6"],
+    ["seq", "--family", "s-catalan", "--m", "3", "--max", "3"],
+    ["seq", "--family", "spin", "--m", "4", "--max", "4"],
+    ["wlp", "--m", "2,2,2,4,5", "--p", "3"],
+    ["wlp", "--n", "5", "--m", "2", "--p", "5"],
+    ["rank", "--n", "5", "--m", "2", "--p", "2", "--d", "1"],
+    ["verify", "--n-max", "2", "--m-max", "3", "--k-max", "2", "--census"],
+    ["verify", "--n-max", "0"],
+]
+
+# str keys and strings with quotes, backslashes, control characters,
+# non-ASCII letters, an astral character and a lone surrogate
+JSON_TEXT = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
+                         "\xe9", "\u20ac", "\U0001f600", "\ud800"]),
+        st.characters(),
+    ),
+    max_size=8,
+)
+# ints up to 4,001 digits, below the interpreter's 4,300-digit str limit
+HUGE_INT = st.tuples(st.integers(1, 4000), st.sampled_from([1, -1])).map(
+    lambda t: t[1] * (10 ** t[0] - 3)
+)
+JSON_LEAF = st.one_of(
+    st.integers(), HUGE_INT, st.booleans(), st.none(), JSON_TEXT,
+    st.lists(st.one_of(st.integers(), HUGE_INT), max_size=6),
+)
+JSON_TREE = st.recursive(
+    JSON_LEAF,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(JSON_TEXT, inner, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    """``cli._dumps``, the one JSON writer, against the stdlib's
+    ``json.dumps(indent=2)``, the layout it must reproduce byte for byte."""
+
+    @staticmethod
+    def reference(payload) -> str:
+        return json.dumps(payload, indent=2) + "\n"
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(JSON_TREE)
+    def test_random_trees(self, payload):
+        assert cli_module._dumps(payload) == self.reference(payload)
+
+    def test_every_json_subcommand_payload(self, capsys, monkeypatch):
+        seen = []
+        writer = cli_module._dumps
+
+        def recording(payload):
+            seen.append(payload)
+            return writer(payload)
+
+        monkeypatch.setattr(cli_module, "_dumps", recording)
+        for count, argv in enumerate(JSON_JOBS, start=1):
+            code, out, err = invoke(argv + ["--format", "json"], capsys)
+            assert (code, err) == (0, ""), argv
+            assert len(seen) == count, argv
+            assert out == self.reference(seen[-1]), argv
+        assert {argv[0] for argv in JSON_JOBS} == {
+            sub for sub, spec in SUBCOMMANDS.items() if "json" in spec.formats
+        }
+        assert {argv[2] for argv in JSON_JOBS if argv[0] == "seq"} == set(
+            SEQ_FAMILIES
+        )
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, Fraction(1, 2), {1, 2}, frozenset(), b"x", object()],
+    )
+    def test_other_types_refused(self, value):
+        for payload in ({"v": value}, [value], {"a": [{"b": value}]}):
+            with pytest.raises(TypeError, match=type(value).__name__):
+                cli_module._dumps(payload)
+
+    @pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)])
+    def test_non_str_keys_refused(self, key):
+        with pytest.raises(TypeError, match=type(key).__name__):
+            cli_module._dumps({"a": {key: 0}})
+
+    def test_int_and_str_subclasses_refused(self):
+        class Count(int):
+            pass
+
+        class Name(str):
+            pass
+
+        for payload in ({"n": Count(3)}, [Name("x")], [1, Count(2)]):
+            with pytest.raises(TypeError, match=r"Count|Name"):
+                cli_module._dumps(payload)
+
+
 class TestSeqCsv:
     def test_catalan(self, capsys):
         code, out, _ = invoke(
@@ -550,8 +667,8 @@ class TestExitCodes:
         ("motzkin", [], 4043),
         ("riordan", [], 4043),
         ("s-catalan", ["--m", "3"], 183),
-        ("spin", ["--m", "3"], 1999),
-        ("g", ["--m", "eq:2", "--k", "1"], 1414),
+        ("spin", ["--m", "3"], 231),
+        ("g", ["--m", "eq:2", "--k", "1"], 171),
     )
 
     @pytest.mark.parametrize("family, extra, first_over", FIRST_OVER_BUDGET)
@@ -583,6 +700,36 @@ class TestExitCodes:
             code, out, err = invoke(["seq", "--family", family] + extra, capsys)
             assert (code, out) == (1, ""), family
             assert err.count("\n") == 1 and err.endswith(f"lower {flag}\n"), err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["hilbert", "--m", "1000000000", "--k", "1"], "--m"),
+            (["hilbert", "--m", "eq:3:100000000", "--k", "1"], "--m"),
+            (["hilbert", "--n", "100000000", "--m", "3", "--k", "1"], "--n"),
+            (["gb", "--m", "eq:3:100000000", "--k", "1"], "--m"),
+        ],
+    )
+    def test_huge_request_refused_up_front(self, capsys, argv, flag):
+        start = time.perf_counter()
+        code, out, err = invoke(argv, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "budget" in err and err.endswith(f"lower {flag}\n"), err
+
+    # the first one-variable --m whose series digits pass cli.SEQ_BUDGET:
+    # 571,429 coefficients of at most 7 digits each
+    def test_hilbert_refuses_just_above_budget(self, capsys, monkeypatch):
+        def reached(*args):
+            raise ValueError("computation reached")
+
+        monkeypatch.setattr(cli_module, "hs_complete_intersection", reached)
+        code, out, err = invoke(["hilbert", "--m", "571429", "--k", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert "budget" in err and err.endswith("lower --m\n"), err
+        code, _, err = invoke(["hilbert", "--m", "571428", "--k", "1"], capsys)
+        assert code == 1 and "computation reached" in err
 
     def test_empty_grid_trivially_passes(self, capsys):
         code, out, _ = invoke(
