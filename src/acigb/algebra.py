@@ -134,12 +134,14 @@ def mono_degree(mono: Mono) -> int:
     return sum(mono)
 
 
+# the helpers below map C-level operators over both tuples, several times
+# faster than a generator over zip
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 # Packed divisibility.  An exponent vector packs into one int with a bit
@@ -175,11 +177,11 @@ def packed_divides_any(gens, h: int, guard: int) -> bool:
 
 def mono_div(a: Mono, b: Mono) -> Mono:
     """a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def max_index(mono: Mono) -> int:
@@ -483,13 +485,13 @@ def normal_form_pure_powers(f: SparsePoly, m: tuple, from_index: int = 1) -> Spa
 
 
 def lead_table(reducers, order: TermOrder) -> list:
-    """(leading monomial, leading coefficient, polynomial) for every nonzero
-    reducer, in the given order: the table ``reduce_full`` searches."""
+    """(leading monomial, inverse leading coefficient, polynomial) for every
+    nonzero reducer, in the given order: the table ``reduce_full`` searches."""
     table = []
     for g in reducers:
         lt = g.leading_term(order)
         if lt is not None:
-            table.append((lt[0], lt[1], g))
+            table.append((lt[0], g.field.inv(lt[1]), g))
     return table
 
 
@@ -513,17 +515,14 @@ def reduce_full(
     while work:
         mono = max(work, key=keys.__getitem__)
         c = work.pop(mono)
-        hit = None
-        for lm, lc, g in table:
+        for lm, inv, g in table:
             if mono_divides(lm, mono):
-                hit = (lm, lc, g)
                 break
-        if hit is None:
+        else:
             remainder[mono] = c
             continue
-        lm, lc, g = hit
         q = mono_div(mono, lm)
-        factor = field.norm(c * field.inv(lc))
+        factor = field.norm(c * inv)
         for gm, gc in g.terms.items():
             if gm == lm:
                 continue

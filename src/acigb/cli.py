@@ -57,7 +57,7 @@ from .algebra import (
     poly_to_text,
 )
 from .closed_form import distinct_gb_census, reduced_gb
-from .hilbert import hf, hs_complete_intersection, socle_degrees, truncate_lefschetz
+from .hilbert import hf, hs_complete_intersection, series_socle, truncate_lefschetz
 from .initial_ideal import (
     MonomialIdeal,
     critical_sets,
@@ -317,7 +317,7 @@ def _cmd_hilbert(ns: argparse.Namespace) -> tuple:
         )
     series = hs_complete_intersection(ns.m)
     quotient = truncate_lefschetz(series, ns.k)
-    socle_D, delta = socle_degrees(ns.m, ns.k)
+    socle_D, delta = series_socle(series, max(ns.m, default=0), ns.k, ns.m)
     if ns.format == "json":
         return _dumps(
             {

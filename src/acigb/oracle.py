@@ -63,14 +63,11 @@ def power_sum_generators(n: int, m, k: int, field: Field = QQ) -> list:
     return gens
 
 
-def spoly(f: SparsePoly, g: SparsePoly, order: TermOrder) -> SparsePoly:
-    mf, cf = f.leading_term(order)
-    mg, cg = g.leading_term(order)
-    lcm = mono_lcm(mf, mg)
-    field = f.field
-    left = f.mul_term(mono_div(lcm, mf), field.inv(cf))
-    right = g.mul_term(mono_div(lcm, mg), field.inv(cg))
-    return left.sub(right)
+def spoly(a: tuple, b: tuple) -> SparsePoly:
+    """S-polynomial of two ``lead_table`` entries (lm, 1/lc, polynomial)."""
+    (ma, ia, f), (mb, ib, g) = a, b
+    lcm = mono_lcm(ma, mb)
+    return f.mul_term(mono_div(lcm, ma), ia).sub(g.mul_term(mono_div(lcm, mb), ib))
 
 
 def _interreduce(table: list, order: TermOrder) -> list:
@@ -81,74 +78,77 @@ def _interreduce(table: list, order: TermOrder) -> list:
     for entry in sorted(table, key=lambda e: order.key(e[0])):
         if not any(mono_divides(lm, entry[0]) for lm, _, _ in kept):
             kept.append(entry)
-    # then push every tail outside the span of the leading monomials; the
-    # leading terms never move, so only the polynomial of an entry changes
-    changed = True
-    while changed:
-        changed = False
-        for i, (lm, lc, g) in enumerate(kept):
-            h = reduce_full(g, None, order, table=kept[:i] + kept[i + 1 :])
-            if h != g:
-                kept[i] = (lm, lc, h)
-                changed = True
-    return [(lm, g.scale(g.field.inv(lc))) for lm, lc, g in kept]
+    # then push every tail outside the span of the leading monomials.  Being
+    # reduced depends only on the leads of the others, which never move, so
+    # one pass is enough; a tail term lies below its lead, so only the entries
+    # before it in ascending order can divide it, and those are reduced already
+    for i, (lm, inv, g) in enumerate(kept):
+        kept[i] = (lm, inv, reduce_full(g, None, order, table=kept[:i]))
+    return [(lm, g.scale(inv)) for lm, inv, g in kept]
 
 
 def buchberger(gens: list, cfg: OracleConfig) -> tuple:
     """Reduced Groebner basis of the ideal the generators span, as (leading
     monomial, monic element) pairs.
 
-    Normal selection strategy with the coprimality and chain criteria: the
-    pairs wait in a heap of ``(order.key(lcm), i, j)``, i > j, pushed once
-    when the later element joins the basis, so the pair with the smallest
-    lcm in the order comes next and ties go to the lower indices.  The
-    reduced basis is unique, so the tie-break never shows in the result.
-    A degree cap discards pairs above the cap, which loses nothing below it
-    when all inputs are homogeneous; on other inputs a cap is refused.
+    Normal selection strategy with the Gebauer-Moeller update: each new
+    element makes pairs only with the useful elements (those whose lead no
+    later lead divides), keeps one pair per minimal lcm, none for an lcm a
+    coprime pair shares, and deletes each waiting pair whose lcm the new lead
+    divides with a different lcm on both sides.  Deletion is lazy: the pairs
+    wait in a heap of ``(order.key(lcm), i, j)``, i > j, and one that left
+    ``live`` is skipped when popped.  The pair with the smallest lcm in the
+    order comes next and ties go to the lower indices; the reduced basis is
+    unique, so the tie-break never shows in the result.  A degree cap
+    discards pairs above the cap, which loses nothing below it when all
+    inputs are homogeneous; on other inputs a cap is refused.
     """
     order = cfg.order
     cap = cfg.degree_cap
     if cap is not None and not all(g.is_homogeneous() for g in gens):
         raise ValueError("a degree cap needs homogeneous generators")
-    basis = [g for g in gens if not g.is_zero()]
-    table = lead_table(basis, order)
-    leads = [lm for lm, _, _ in table]
-    pairs: set = set()  # pairs still waiting, for the chain criterion
+    table: list = []
+    useful: list = []  # indices of the elements new pairs may use
+    live: dict = {}  # waiting pair (i, j) -> lcm
     heap: list = []
 
-    def push_pairs(t):
-        for s in range(t):
-            lcm = mono_lcm(leads[t], leads[s])
-            heapq.heappush(heap, (order.key(lcm), t, s, lcm))
-            pairs.add((t, s))
+    def update(entry):
+        t, lt = len(table), entry[0]
+        new: dict = {}  # lcm -> one pair index with it, None if a coprime pair has it
+        for s in useful:
+            lcm = mono_lcm(lt, table[s][0])
+            if lcm == mono_mul(lt, table[s][0]):
+                new[lcm] = None
+            else:
+                new.setdefault(lcm, s)
+        for pair, lcm in list(live.items()):
+            if (
+                mono_divides(lt, lcm)
+                and mono_lcm(table[pair[0]][0], lt) != lcm
+                and mono_lcm(table[pair[1]][0], lt) != lcm
+            ):
+                del live[pair]
+        for lcm, s in new.items():
+            if s is not None and not any(o != lcm and mono_divides(o, lcm) for o in new):
+                live[t, s] = lcm
+                heapq.heappush(heap, (order.key(lcm), t, s, lcm))
+        useful[:] = [s for s in useful if not mono_divides(lt, table[s][0])] + [t]
+        table.append(entry)
 
-    for t in range(len(basis)):
-        push_pairs(t)
+    for entry in lead_table(gens, order):
+        update(entry)
     while heap:
         _, i, j, lcm = heapq.heappop(heap)
-        pairs.discard((i, j))
         if cap is not None and mono_degree(lcm) > cap:
             # pairs leave the heap in a graded order, so every waiting pair
             # lies above the cap too
             break
-        if lcm == mono_mul(leads[i], leads[j]):
+        if live.pop((i, j), None) is None:
             continue
-        if any(
-            t != i
-            and t != j
-            and mono_divides(leads[t], lcm)
-            and (max(i, t), min(i, t)) not in pairs
-            and (max(j, t), min(j, t)) not in pairs
-            for t in range(len(basis))
-        ):
-            continue
-        h = reduce_full(spoly(basis[i], basis[j], order), basis, order, table=table)
+        h = reduce_full(spoly(table[i], table[j]), None, order, table=table)
         if not h.is_zero():
             lm, lc = h.leading_term(order)
-            basis.append(h)
-            table.append((lm, lc, h))
-            leads.append(lm)
-            push_pairs(len(basis) - 1)
+            update((lm, h.field.inv(lc), h))
     return tuple(_interreduce(table, order))
 
 
@@ -172,14 +172,15 @@ def verify_is_gb(candidate, gens: list, cfg: OracleConfig) -> bool:
     elements = list(getattr(candidate, "elements", candidate))
     if not elements:
         return all(g.is_zero() for g in gens)
-    for f, g in itertools.combinations(elements, 2):
-        if not reduce_full(spoly(f, g, order), elements, order).is_zero():
+    table = lead_table(elements, order)
+    for a, b in itertools.combinations(table, 2):
+        if not reduce_full(spoly(a, b), None, order, table=table).is_zero():
             return False
     for g in gens:
-        if not reduce_full(g, elements, order).is_zero():
+        if not reduce_full(g, None, order, table=table).is_zero():
             return False
-    reference = [g for _, g in buchberger(gens, cfg)]
-    return all(reduce_full(f, reference, order).is_zero() for f in elements)
+    reference = lead_table([g for _, g in buchberger(gens, cfg)], order)
+    return all(reduce_full(f, None, order, table=reference).is_zero() for f in elements)
 
 
 def initial_ideal_oracle(n: int, m, k: int, cfg: OracleConfig | None = None) -> MonomialIdeal:

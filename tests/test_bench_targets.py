@@ -74,3 +74,16 @@ def test_closed_form_pairs_replay(capsys):
         out, err = capsys.readouterr()
         assert (code, err) == (0, ""), job["id"]
         assert hashlib.sha256(out.encode()).hexdigest() == job["sha256"], job["id"]
+
+
+def test_wlp_modp_jobs_replay(capsys):
+    """Every ``wlp-modp`` job, run through ``cli.main``, writes the bytes the
+    catalogue pins: the degree-capped oracle over F_p and the modular
+    elimination, checked byte for byte."""
+    jobs = json.loads(CATALOGUE.read_text())["wlp-modp"]["jobs"]
+    assert len(jobs) == 10
+    for job in jobs:
+        code = cli.main(list(job["argv"]))
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, ""), job["id"]
+        assert hashlib.sha256(out.encode()).hexdigest() == job["sha256"], job["id"]

@@ -23,6 +23,7 @@ from acigb.cli import (
     verify_all,
     write_atomic,
 )
+from acigb.hilbert import socle_degrees
 from acigb.paths import ReflectionLine, path_from_monomial, reflect
 from acigb.sequences import MSpec
 
@@ -244,6 +245,13 @@ class TestJsonOutputs:
         assert payload["hs_quotient"] == [1, 4, 7, 6]
         assert payload["D"] == 6
         assert payload["delta"] == 3
+
+    def test_hilbert_socle_matches_socle_degrees(self, capsys):
+        # a dominant exponent takes the second branch of the socle formula
+        for m, k in (((2, 6), 1), ((2, 2, 9), 2), ((3, 2, 2, 3), 2), ((4, 4, 4), 5)):
+            argv = ["hilbert", "--m", ",".join(map(str, m)), "--k", str(k)]
+            payload = run_json(argv, capsys, "hilbert")
+            assert (payload["D"], payload["delta"]) == socle_degrees(m, k), (m, k)
 
     def test_seq_g(self, capsys):
         payload = run_json(

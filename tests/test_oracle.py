@@ -12,6 +12,7 @@ from acigb.algebra import (
     TermOrder,
     grevlex,
     grlex,
+    lead_table,
     linear_power,
     poly_to_text,
 )
@@ -147,32 +148,99 @@ class TestStoredLeads:
                     assert basis.leading_monomials() == want
 
 
+def sympy_basis(sympy, gens, xs, order, p=None):
+    """sympy's monic reduced basis as a set of fingerprints, coefficients
+    as Fractions over Q and as residues mod p."""
+    field = {"domain": "QQ"} if p is None else {"modulus": p}
+    ref = sympy.groebner(gens, *xs, order=order.kind, **field)
+    coerce = (lambda c: Fraction(int(c.p), int(c.q))) if p is None else (lambda c: int(c) % p)
+    return {tuple(sorted((mono, coerce(c)) for mono, c in g.terms())) for g in ref.polys}
+
+
 class TestThirdEngine:
     """Both engines against sympy, which shares no arithmetic with acigb."""
+
+    def check_grid_case(self, sympy, n, m, k):
+        xs = sympy.symbols(f"x1:{n + 1}")
+        gens = [x**e for x, e in zip(xs, m)] + [sum(xs) ** k]
+        for order in (grevlex(n), grlex(n)):
+            want = sympy_basis(sympy, gens, xs, order)
+            cfg = OracleConfig(order=order)
+            for basis in (
+                reduced_gb(n, m, k, kind=order.kind),
+                oracle_reduced_gb(n, m, k, cfg),
+            ):
+                got = {g.monic(order).fingerprint() for g in basis.elements}
+                assert got == want, (n, m, k, order.kind)
 
     def test_full_bases_match_sympy(self):
         sympy = pytest.importorskip("sympy")
         for n, m, k in small_grid(k_max=4):
+            self.check_grid_case(sympy, n, m, k)
+
+    def test_four_variable_sample_matches_sympy(self):
+        # 40 of the 324 cases of the n = 4 grid (m_i in {2, 3, 4}, k <= 4)
+        sympy = pytest.importorskip("sympy")
+        grid = [
+            (4, m, k) for m in itertools.product((2, 3, 4), repeat=4) for k in range(1, 5)
+        ]
+        assert len(grid) == 324
+        for n, m, k in random.Random(4).sample(grid, 40):
+            self.check_grid_case(sympy, n, m, k)
+
+
+def random_system(rng, homogeneous):
+    """2 to 4 nonzero generators in 2 or 3 variables, each of degree 2 or 3
+    with up to three terms and coefficients in -3..3."""
+    n = rng.randint(2, 3)
+    count, gens = rng.randint(2, 4), []
+    while len(gens) < count:
+        d = rng.randint(2, 3)
+        monos = [
+            mono
+            for mono in itertools.product(range(d + 1), repeat=n)
+            if sum(mono) == d or (not homogeneous and sum(mono) < d)
+        ]
+        terms = [(rng.choice(monos), rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(3)]
+        g = SparsePoly.from_terms(n, terms[: rng.randint(1, 3)])
+        if not g.is_zero():
+            gens.append(g)
+    return n, gens
+
+
+class TestPairPruning:
+    """The pair criteria on random small systems, not just the power sums:
+    the reduced basis is unique, so a pruned pair that was needed shows as a
+    difference from sympy."""
+
+    def systems(self):
+        rng = random.Random(10)
+        return [random_system(rng, homogeneous=t % 2 == 0) for t in range(60)]
+
+    def test_random_systems_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for n, gens in self.systems():
             xs = sympy.symbols(f"x1:{n + 1}")
-            gens = [x**e for x, e in zip(xs, m)] + [sum(xs) ** k]
+            exprs = [
+                sum(int(c) * sympy.prod(x**e for x, e in zip(xs, mono)) for mono, c in terms)
+                for terms in (g.terms.items() for g in gens)
+            ]
+            for p, order in itertools.product((None, 7), (grevlex(n), grlex(n))):
+                cfg = OracleConfig(order=order, p=p)
+                own = [SparsePoly.from_terms(n, g.terms.items(), cfg.field) for g in gens]
+                got = {g.fingerprint() for _, g in buchberger(own, cfg)}
+                assert got == sympy_basis(sympy, exprs, xs, order, p), (gens, p, order.kind)
+
+    def test_degree_cap_keeps_low_degrees_of_random_systems(self):
+        for n, gens in self.systems():
+            if not all(g.is_homogeneous() for g in gens):
+                continue
             for order in (grevlex(n), grlex(n)):
-                ref = sympy.groebner(gens, *xs, order=order.kind, domain="QQ")
-                want = {
-                    tuple(
-                        sorted(
-                            (mono, Fraction(int(c.p), int(c.q)))
-                            for mono, c in g.terms()
-                        )
-                    )
-                    for g in ref.polys
-                }
-                cfg = OracleConfig(order=order)
-                for basis in (
-                    reduced_gb(n, m, k, kind=order.kind),
-                    oracle_reduced_gb(n, m, k, cfg),
-                ):
-                    got = {g.monic(order).fingerprint() for g in basis.elements}
-                    assert got == want, (n, m, k, order.kind)
+                full = buchberger(gens, OracleConfig(order=order))
+                for cap in range(1, 6):
+                    capped = buchberger(gens, OracleConfig(order=order, degree_cap=cap))
+                    low = lambda basis: {g for _, g in basis if g.degree() <= cap}
+                    assert low(capped) == low(full), (gens, order.kind, cap)
 
 
 class TestVerifyIsGb:
@@ -319,6 +387,6 @@ class TestSpoly:
         order = grevlex(2)
         f = SparsePoly.from_terms(2, [((2, 0), 1), ((0, 1), 1)])
         g = SparsePoly.from_terms(2, [((1, 1), 1), ((1, 0), 1)])
-        h = spoly(f, g, order)
+        h = spoly(*lead_table([f, g], order))
         lcm = (2, 1)
         assert all(mono != lcm for mono in h.terms)
