@@ -2,8 +2,9 @@
 
 Monomials are exponent tuples, polynomials are dicts mapping exponent tuples
 to nonzero coefficients. Coefficients live either in Q (stdlib Fraction) or in
-a prime field GF(p) (ints reduced mod p). Everything here is exact; floats
-never appear.
+a prime field GF(p) (ints reduced mod p). The reduction tables over Q hold
+primitive integer polynomials instead, with int coefficients. Everything here
+is exact; floats never appear.
 """
 
 from __future__ import annotations
@@ -484,14 +485,38 @@ def normal_form_pure_powers(f: SparsePoly, m: tuple, from_index: int = 1) -> Spa
     return SparsePoly(f.n, f.field, terms)
 
 
+def primitive_part(terms: dict, lead: Mono) -> dict:
+    """The primitive integer multiple of a nonzero dict of rational
+    coefficients (ints or Fractions): scaled by the lcm of the denominators,
+    divided by the content, with a positive coefficient at lead."""
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    content = math.gcd(*ints.values())
+    if ints[lead] < 0:
+        content = -content
+    return ints if content == 1 else {m: v // content for m, v in ints.items()}
+
+
+def lead_entry(g: SparsePoly, lm: Mono) -> tuple:
+    """The ``lead_table`` entry (lm, lc, multiple of g) of a nonzero g with
+    leading monomial lm.  The multiple is monic over F_p, so lc = 1, and over
+    Q primitive with integer coefficients and lc > 0; reducing by it is
+    reducing by g."""
+    if g.field.p is None:
+        g = SparsePoly(g.n, g.field, primitive_part(g.terms, lm))
+    elif g.terms[lm] != 1:
+        g = g.scale(g.field.inv(g.terms[lm]))
+    return lm, g.terms[lm], g
+
+
 def lead_table(reducers, order: TermOrder) -> list:
-    """(leading monomial, inverse leading coefficient, polynomial) for every
-    nonzero reducer, in the given order: the table ``reduce_full`` searches."""
+    """``lead_entry`` of every nonzero reducer, in the given order: the table
+    ``reduce_full`` searches."""
     table = []
     for g in reducers:
         lt = g.leading_term(order)
         if lt is not None:
-            table.append((lt[0], g.field.inv(lt[1]), g))
+            table.append(lead_entry(g, lt[0]))
     return table
 
 
@@ -504,60 +529,69 @@ def reduce_full(
     reducers, so reducing a second time is the identity.  A caller that
     reduces many polynomials by the same reducers may pass their
     ``lead_table`` as ``table``; ``reducers`` is then not read.
+
+    Over Q the work runs on integers: to cancel a term c by a reducer with
+    leading coefficient lc, it scales the work and the remainder by
+    lc / gcd(lc, c) when that is not 1.  Dividing the remainder by the
+    product of the scales and f's denominator lcm gives the exact normal
+    form.  Over F_p the stored reducers are monic and nothing scales.
     """
     field = f.field
     if table is None:
         table = lead_table(reducers, order)
-    work = dict(f.terms)
+    if field.p is None:
+        scale = math.lcm(*[c.denominator for c in f.terms.values()])
+        work = {m: c.numerator * (scale // c.denominator) for m, c in f.terms.items()}
+    else:
+        scale, work = 1, dict(f.terms)
     remainder: dict = {}
     key = order.key
     keys = {mono: key(mono) for mono in work}
     while work:
         mono = max(work, key=keys.__getitem__)
         c = work.pop(mono)
-        for lm, inv, g in table:
+        for lm, lc, g in table:
             if mono_divides(lm, mono):
                 break
         else:
             remainder[mono] = c
             continue
+        if lc != 1:
+            d = math.gcd(lc, c)
+            if d != lc:
+                a = lc // d
+                work = {t: v * a for t, v in work.items()}
+                remainder = {t: v * a for t, v in remainder.items()}
+                scale *= a
+            c //= d
         q = mono_div(mono, lm)
-        factor = field.norm(c * inv)
         for gm, gc in g.terms.items():
             if gm == lm:
                 continue
             t = mono_mul(q, gm)
-            acc = field.norm(work.get(t, 0) - factor * gc)
+            acc = field.norm(work.get(t, 0) - c * gc)
             if acc:
                 if t not in keys:
                     keys[t] = key(t)
                 work[t] = acc
             else:
                 work.pop(t, None)
+    if field.p is None:
+        remainder = {m: Fraction(v, scale) for m, v in remainder.items()}
     return SparsePoly(f.n, field, remainder)
 
 
 def clear_denominators(f: SparsePoly, lead: Mono | None = None) -> SparsePoly:
-    """Primitive integer form: scale by the denominator lcm, divide out the
-    content, keep the sign of the coefficient of lead positive; lead
-    defaults to the grevlex leading monomial."""
+    """Primitive integer form (``primitive_part``) with Fraction
+    coefficients; lead defaults to the grevlex leading monomial."""
     if f.field.p is not None:
         raise ValueError("clear_denominators expects rational coefficients")
     if f.is_zero():
         return f
-    den = 1
-    for c in f.terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
-    content = 0
-    for v in ints.values():
-        content = math.gcd(content, v)
     if lead is None:
-        lead = max(ints, key=grevlex(f.n).key)
-    sign = -1 if ints[lead] < 0 else 1
-    return SparsePoly(
-        f.n, f.field, {m: Fraction(v // (sign * content)) for m, v in ints.items()}
-    )
+        lead = max(f.terms, key=grevlex(f.n).key)
+    ints = primitive_part(f.terms, lead)
+    return SparsePoly(f.n, f.field, {m: Fraction(v) for m, v in ints.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +600,6 @@ def clear_denominators(f: SparsePoly, lead: Mono | None = None) -> SparsePoly:
 
 def coeff_to_str(c) -> str:
     return str(c)
-
-
-def coeff_from_str(s: str, field: Field):
-    return field.coerce(Fraction(s))
 
 
 def mono_to_text(mono: Mono) -> str:
@@ -614,12 +644,3 @@ def poly_to_json(f: SparsePoly, order: TermOrder) -> dict:
             {"exps": list(m), "coeff": coeff_to_str(f.terms[m])} for m in monos
         ],
     }
-
-
-def poly_from_json(data: dict, field: Field = QQ) -> SparsePoly:
-    n = data["n"]
-    return SparsePoly.from_terms(
-        n,
-        [(tuple(t["exps"]), coeff_from_str(t["coeff"], field)) for t in data["terms"]],
-        field,
-    )

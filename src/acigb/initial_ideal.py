@@ -239,25 +239,31 @@ def critical_sets_paths(n: int, m, k: int) -> CriticalSets:
     ideal and divides this one away from minimality.  Criticality of the full
     path alone is too weak in both directions: x1^2 over m = (3,), k = 1 is
     critical yet a multiple of x1.
+
+    The pivot slope at vertex i reads only the heights of vertices i - 1 and
+    i, so the paths are walked depth first over their prefixes: a vertex with
+    an admissible reflected edge ends every extension of its prefix, and it
+    yields s, the prefix padded with zeros, when the slope there is the
+    steepest, 2 - m_i, and x_i divides s.
     """
     m = check_degree_vector(m)
     line = _paths.ReflectionLine.build(n, m, k)
     by_index: list = [[] for _ in range(n)]
-    total = sum(mi - 1 for mi in m)
-    for d in range(1, total + 1):
-        for s in enumerate_m_free(n, m, d):
-            j = max_index(s)
-            if j == 0:
-                continue
-            heights = _paths.path_from_monomial(s)
-            if _pivot_slope(heights, line, j) != 2 - m[j - 1]:
-                continue
-            if any(
-                2 - m[i - 1] <= _pivot_slope(heights, line, i) <= 1
-                for i in range(1, j)
-            ):
-                continue
-            by_index[j - 1].append(s)
+
+    def walk(prefix: tuple, heights: tuple) -> None:
+        # no vertex of the prefix reflects to an admissible edge
+        i = len(prefix) + 1
+        for e in range(m[i - 1]):
+            path = heights + (heights[-1] + 1 - e,)
+            slope = _pivot_slope(path, line, i)
+            if 2 - m[i - 1] <= slope <= 1:
+                if e and slope == 2 - m[i - 1]:
+                    by_index[i - 1].append(prefix + (e,) + (0,) * (n - i))
+            elif i < n:
+                walk(prefix + (e,), path)
+
+    if n:
+        walk((), (0,))
     return CriticalSets(
         n,
         m,

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import (
     QQ,
@@ -22,6 +24,7 @@ from .algebra import (
     compositions,
     enumerate_m_free,
     grevlex,
+    lead_entry,
     lead_table,
     linear_power,
     mono_degree,
@@ -64,10 +67,19 @@ def power_sum_generators(n: int, m, k: int, field: Field = QQ) -> list:
 
 
 def spoly(a: tuple, b: tuple) -> SparsePoly:
-    """S-polynomial of two ``lead_table`` entries (lm, 1/lc, polynomial)."""
-    (ma, ia, f), (mb, ib, g) = a, b
+    """S-polynomial of two ``lead_table`` entries (lm, lc, polynomial), with
+    the cofactors lc_b / gcd and lc_a / gcd of the leading coefficients, so
+    integer entries give an integer result; both are 1 over F_p."""
+    (ma, ca, f), (mb, cb, g) = a, b
     lcm = mono_lcm(ma, mb)
-    return f.mul_term(mono_div(lcm, ma), ia).sub(g.mul_term(mono_div(lcm, mb), ib))
+    d = math.gcd(ca, cb)
+
+    def part(h, lm, c):  # c * (lcm / lm) * h without its leading term, which cancels
+        q = mono_div(lcm, lm)
+        terms = {mono_mul(q, m): c * v for m, v in h.terms.items() if m != lm}
+        return SparsePoly(h.n, h.field, terms)
+
+    return part(f, ma, cb // d).add(part(g, mb, -(ca // d)))
 
 
 def _interreduce(table: list, order: TermOrder) -> list:
@@ -82,9 +94,10 @@ def _interreduce(table: list, order: TermOrder) -> list:
     # reduced depends only on the leads of the others, which never move, so
     # one pass is enough; a tail term lies below its lead, so only the entries
     # before it in ascending order can divide it, and those are reduced already
-    for i, (lm, inv, g) in enumerate(kept):
-        kept[i] = (lm, inv, reduce_full(g, None, order, table=kept[:i]))
-    return [(lm, g.scale(inv)) for lm, inv, g in kept]
+    for i, (lm, _, g) in enumerate(kept):
+        kept[i] = lead_entry(reduce_full(g, None, order, table=kept[:i]), lm)
+    # only now leave the ring: dividing by lc (1 over F_p) makes each monic
+    return [(lm, g.scale(Fraction(1, lc))) for lm, lc, g in kept]
 
 
 def buchberger(gens: list, cfg: OracleConfig) -> tuple:
@@ -147,8 +160,7 @@ def buchberger(gens: list, cfg: OracleConfig) -> tuple:
             continue
         h = reduce_full(spoly(table[i], table[j]), None, order, table=table)
         if not h.is_zero():
-            lm, lc = h.leading_term(order)
-            update((lm, h.field.inv(lc), h))
+            update(lead_entry(h, h.leading_term(order)[0]))
     return tuple(_interreduce(table, order))
 
 

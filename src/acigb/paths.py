@@ -64,10 +64,6 @@ def is_admissible(heights: Heights, m) -> bool:
     return all(0 <= e < mi for e, mi in zip(monomial_from_path(heights), m))
 
 
-def path_degree(heights: Heights) -> int:
-    return (len(heights) - 1) - heights[-1]
-
-
 def reflect_suffix(heights: Heights, line: ReflectionLine, i: int) -> Heights:
     """Reflect vertices i..n across the line; no admissibility check.
 

@@ -37,7 +37,6 @@ from acigb.algebra import (
     normal_form_pure_powers,
     packed_divides_any,
     packing,
-    poly_from_json,
     poly_to_json,
     poly_to_text,
     reduce_full,
@@ -379,6 +378,36 @@ class TestNormalForms:
         want = reduce_full(f, basis, o)
         assert reduce_full(f, None, o, table=lead_table(basis, o)) == want
 
+    def test_lead_table_stores_primitive_and_monic_multiples(self):
+        o = grevlex(2)
+        f = P(2, [((1, 0), Fraction(-4, 3)), ((0, 1), 2)])
+        assert lead_table([f], o) == [((1, 0), 2, P(2, [((1, 0), 2), ((0, 1), -3)]))]
+        g = P(2, [((1, 0), 2), ((0, 1), 3)], Field(7))
+        assert lead_table([g], o) == [((1, 0), 1, P(2, [((1, 0), 1), ((0, 1), 5)], Field(7)))]
+
+    def test_reduce_full_matches_division_in_the_field(self):
+        # denominators in f and in the reducers, non-unit leading
+        # coefficients and a zero reducer, in both coefficient fields
+        rng = random.Random(12)
+        for trial in range(300):
+            field = (QQ, Field(7))[trial % 2]
+            n = rng.randint(2, 3)
+            ranking = tuple(rng.sample(range(1, n + 1), n))
+            o = TermOrder(rng.choice(("grevlex", "grlex")), ranking)
+            f = random_poly(rng, n, field, rng.randint(1, 8))
+            reducers = [
+                random_poly(rng, n, field, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))
+            ]
+            reducers.insert(rng.randint(0, len(reducers)), SparsePoly.zero(n, field))
+            x1, x2 = (1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2)
+            reducers.append(P(n, [(x1, 2), (x2, 3)], field))
+            want = reference_reduce_full(f, reducers, o)
+            got = reduce_full(f, reducers, o)
+            assert got == want, (f, reducers, o)
+            assert got == reduce_full(f, None, o, table=lead_table(reducers, o))
+            if field is QQ:
+                assert all(type(c) is Fraction for c in got.terms.values())
+
     def test_expand_last_variable(self):
         # f = x1 * y^2 in 2 vars, expanded into 3 vars: x1*(x2+x3)^2
         f = P(2, [((1, 2), 1)])
@@ -395,6 +424,68 @@ class TestNormalForms:
         f = P(2, [((1, 0), Fraction(-4)), ((0, 1), Fraction(-6))])
         g = clear_denominators(f)
         assert g.terms == {(1, 0): Fraction(2), (0, 1): Fraction(3)}
+
+
+def random_poly(rng, n, field, count):
+    """count random terms with exponents at most 2 and coefficients p/q,
+    |p| <= 9 and 1 <= q <= 6, merged in the field."""
+    items = [
+        (
+            tuple(rng.randint(0, 2) for _ in range(n)),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+        )
+        for _ in range(count)
+    ]
+    return P(n, items, field)
+
+
+def reference_reduce_full(f, reducers, order):
+    """The normal form by division in the field: each step cancels the
+    leading term c of the work by c / lc times the first reducer whose
+    leading monomial, with coefficient lc, divides it."""
+    field = f.field
+    table = []
+    for g in reducers:
+        lt = g.leading_term(order)
+        if lt is not None:
+            table.append((lt[0], field.inv(lt[1]), g))
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        mono = max(work, key=order.key)
+        c = work.pop(mono)
+        for lm, inv, g in table:
+            if mono_divides(lm, mono):
+                break
+        else:
+            remainder[mono] = c
+            continue
+        q = mono_div(mono, lm)
+        factor = field.norm(c * inv)
+        for gm, gc in g.terms.items():
+            if gm == lm:
+                continue
+            t = mono_mul(q, gm)
+            acc = field.norm(work.get(t, 0) - factor * gc)
+            if acc:
+                work[t] = acc
+            else:
+                work.pop(t, None)
+    return SparsePoly(f.n, field, remainder)
+
+
+def coeff_from_str(s: str, field: Field):
+    return field.coerce(Fraction(s))
+
+
+def poly_from_json(data: dict, field: Field = QQ) -> SparsePoly:
+    """Inverse of ``poly_to_json``, the reference its round trips check."""
+    n = data["n"]
+    return SparsePoly.from_terms(
+        n,
+        [(tuple(t["exps"]), coeff_from_str(t["coeff"], field)) for t in data["terms"]],
+        field,
+    )
 
 
 class TestSerialization:

@@ -189,9 +189,9 @@ class TestThirdEngine:
             self.check_grid_case(sympy, n, m, k)
 
 
-def random_system(rng, homogeneous):
+def random_system(rng, homogeneous, coeffs=(-3, -2, -1, 1, 2, 3)):
     """2 to 4 nonzero generators in 2 or 3 variables, each of degree 2 or 3
-    with up to three terms and coefficients in -3..3."""
+    with up to three terms and coefficients drawn from coeffs."""
     n = rng.randint(2, 3)
     count, gens = rng.randint(2, 4), []
     while len(gens) < count:
@@ -201,7 +201,7 @@ def random_system(rng, homogeneous):
             for mono in itertools.product(range(d + 1), repeat=n)
             if sum(mono) == d or (not homogeneous and sum(mono) < d)
         ]
-        terms = [(rng.choice(monos), rng.choice((-3, -2, -1, 1, 2, 3))) for _ in range(3)]
+        terms = [(rng.choice(monos), rng.choice(coeffs)) for _ in range(3)]
         g = SparsePoly.from_terms(n, terms[: rng.randint(1, 3)])
         if not g.is_zero():
             gens.append(g)
@@ -230,6 +230,23 @@ class TestPairPruning:
                 own = [SparsePoly.from_terms(n, g.terms.items(), cfg.field) for g in gens]
                 got = {g.fingerprint() for _, g in buchberger(own, cfg)}
                 assert got == sympy_basis(sympy, exprs, xs, order, p), (gens, p, order.kind)
+
+    def test_large_coefficients_match_sympy(self):
+        # leading coefficients up to 10^6 in size: the fraction-free
+        # reduction scales by them instead of dividing
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(12)
+        big = range(-(10**6), 10**6 + 1)
+        for t in range(8):
+            n, gens = random_system(rng, homogeneous=t % 2 == 0, coeffs=big)
+            xs = sympy.symbols(f"x1:{n + 1}")
+            exprs = [
+                sum(int(c) * sympy.prod(x**e for x, e in zip(xs, mono)) for mono, c in terms)
+                for terms in (g.terms.items() for g in gens)
+            ]
+            for order in (grevlex(n), grlex(n)):
+                got = {g.fingerprint() for _, g in buchberger(gens, OracleConfig(order=order))}
+                assert got == sympy_basis(sympy, exprs, xs, order), (gens, order.kind)
 
     def test_degree_cap_keeps_low_degrees_of_random_systems(self):
         for n, gens in self.systems():

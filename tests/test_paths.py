@@ -15,7 +15,6 @@ from acigb.paths import (
     is_critical,
     monomial_from_path,
     paired_degree,
-    path_degree,
     path_from_monomial,
     reflect,
     reflect_suffix,
@@ -74,7 +73,8 @@ class TestEncoding:
                     h = path_from_monomial(s)
                     assert monomial_from_path(h) == s
                     assert is_admissible(h, m)
-                    assert path_degree(h) == d
+                    # the path ends at height n - deg(s)
+                    assert (len(h) - 1) - h[-1] == d
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=6))
     @settings(max_examples=150, deadline=None, derandomize=True)
