@@ -207,9 +207,40 @@ def _encode(value, indent: str) -> str:
     raise TypeError(f"cannot write {kind.__name__} as JSON")
 
 
+def _write_json(value, indent: str, write) -> None:
+    """``_encode(value, indent)`` through ``write``, a piece at a time
+    wherever a dict or list holds dicts, as a basis's list of elements does,
+    so the text of a large payload is held once, in the writer, and not also
+    as the joined texts of its parts."""
+    kind = type(value)
+    container = kind is dict or kind is list or kind is tuple
+    items = value.values() if kind is dict else value
+    if not container or dict not in set(map(type, items)):
+        write(_encode(value, indent))
+        return
+    inner = indent + "  "
+    sep = ",\n" + inner
+    opening, closing = "{}" if kind is dict else "[]"
+    write(opening + "\n" + inner)
+    if kind is dict:
+        for i, (key, item) in enumerate(value.items()):
+            # _quote raises TypeError on a key that is not a str
+            write(f"{sep if i else ''}{_quote(key)}: ")
+            _write_json(item, inner, write)
+    else:
+        for i, item in enumerate(value):
+            if i:
+                write(sep)
+            _write_json(item, inner, write)
+    write("\n" + indent + closing)
+
+
 def _dumps(payload: dict) -> str:
     """The one JSON writer of every subcommand."""
-    return _encode(payload, "") + "\n"
+    buffer = io.StringIO()
+    _write_json(payload, "", buffer.write)
+    buffer.write("\n")
+    return buffer.getvalue()
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -244,18 +275,18 @@ def write_atomic(path: str, text: str) -> None:
 def _cmd_gb(ns: argparse.Namespace) -> tuple:
     basis = reduced_gb(ns.n, ns.m, ns.k, ranking=ns.ranking, kind=ns.order)
     if ns.format == "json":
-        return _dumps(
-            {
-                "n": basis.n,
-                "m": list(basis.m),
-                "k": basis.k,
-                "order": {
-                    "kind": basis.order.kind,
-                    "ranking": list(basis.order.ranking),
-                },
-                "elements": [poly_to_json(g, basis.order) for g in basis.elements],
-            }
-        ), True
+        payload = {
+            "n": basis.n,
+            "m": list(basis.m),
+            "k": basis.k,
+            "order": {
+                "kind": basis.order.kind,
+                "ranking": list(basis.order.ranking),
+            },
+            "elements": [poly_to_json(g, basis.order) for g in basis.elements],
+        }
+        del basis  # the payload holds copies of all it writes: free the rest first
+        return _dumps(payload), True
     lines = [poly_to_text(g, basis.order) for g in basis.elements]
     if ns.format == "text":
         return "\n".join(lines) + "\n", True
