@@ -216,20 +216,22 @@ def compositions(total: int, caps) -> Iterator[tuple]:
     room = [0]  # room[i]: the most the first i parts can hold
     for c in caps:
         room.append(room[-1] + c)
-
-    def rec(i, rest, suffix):
-        # parts i.. are fixed in suffix; the room check leaves part 0 = rest
-        if i == 1:
-            yield (rest,) + suffix
-            return
-        for e in range(max(0, rest - room[i - 1]), min(rest, caps[i - 1]) + 1):
-            yield from rec(i - 1, rest - e, (e,) + suffix)
-
     if not caps:
         if total == 0:
             yield ()
     elif 0 <= total <= room[-1]:
-        yield from rec(len(caps), total, ())
+        yield from _compositions(caps, room, len(caps), total, ())
+
+
+def _compositions(caps, room, i, rest, suffix):
+    # parts i.. are fixed in suffix; the room check leaves part 0 = rest.  A
+    # module-level generator, not a closure: a closure that calls itself is a
+    # reference cycle that only the cyclic collector frees.
+    if i == 1:
+        yield (rest,) + suffix
+        return
+    for e in range(max(0, rest - room[i - 1]), min(rest, caps[i - 1]) + 1):
+        yield from _compositions(caps, room, i - 1, rest - e, (e,) + suffix)
 
 
 def enumerate_m_free(n: int, m, d: int) -> list:

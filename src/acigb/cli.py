@@ -41,7 +41,6 @@ import sys
 import tempfile
 from collections import namedtuple
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -51,20 +50,13 @@ from .algebra import (
     TermOrder,
     check_degree_vector,
     coeff_to_str,
-    grevlex,
     mono_to_text,
     poly_to_json,
     poly_to_text,
 )
 from .closed_form import distinct_gb_census, reduced_gb
 from .hilbert import hf, hs_complete_intersection, series_socle, truncate_lefschetz
-from .initial_ideal import (
-    MonomialIdeal,
-    critical_sets,
-    hf_quotient,
-    minimal_generators,
-    pure_power_removed,
-)
+from .initial_ideal import critical_sets, hf_quotient, minimal_generators
 from .oracle import OracleConfig, multiplication_rank, oracle_reduced_gb
 from .paths import (
     ReflectionLine,
@@ -294,9 +286,7 @@ def _cmd_gb(ns: argparse.Namespace) -> tuple:
 
 
 def _cmd_init(ns: argparse.Namespace) -> tuple:
-    ideal = minimal_generators(ns.n, ns.m, ns.k)
-    order = grevlex(ns.n)
-    gens = sorted(ideal.min_gens, key=order.key, reverse=True)
+    gens = minimal_generators(ns.n, ns.m, ns.k).min_gens
     if ns.format == "json":
         return _dumps(
             {
@@ -311,30 +301,22 @@ def _cmd_init(ns: argparse.Namespace) -> tuple:
 
 def _cmd_crit(ns: argparse.Namespace) -> tuple:
     sets = critical_sets(ns.n, ns.m, ns.k)
-    order = grevlex(ns.n)
-    pure = [
-        tuple(ns.m[j - 1] if i == j - 1 else 0 for i in range(ns.n))
-        for j in range(1, ns.n + 1)
-        if not pure_power_removed(ns.m, ns.k, j)
-    ]
-    groups = [
-        sorted(group, key=order.key, reverse=True) for group in sets.by_index
-    ]
     if ns.format == "json":
         return _dumps(
             {
                 "n": ns.n,
                 "m": list(ns.m),
                 "k": ns.k,
-                "pure_powers": [list(g) for g in pure],
+                "pure_powers": [list(g) for g in sets.pure_powers],
                 "crit": {
                     str(j): [list(s) for s in group]
-                    for j, group in enumerate(groups, start=1)
+                    for j, group in enumerate(sets.by_index, start=1)
                 },
             }
         ), True
-    lines = ["pure powers: " + (", ".join(mono_to_text(g) for g in pure) or "-")]
-    for j, group in enumerate(groups, start=1):
+    pure = ", ".join(mono_to_text(g) for g in sets.pure_powers)
+    lines = ["pure powers: " + (pure or "-")]
+    for j, group in enumerate(sets.by_index, start=1):
         body = ", ".join(mono_to_text(s) for s in group) or "-"
         lines.append(f"crit {j}: {body}")
     return "\n".join(lines) + "\n", True
@@ -624,19 +606,16 @@ def _cmd_render(ns: argparse.Namespace) -> tuple:
 def _verify_case(case):
     n, m, k, with_census = case
     row = {"n": n, "m": list(m), "k": k}
-    oracle_lms = None
+    oracle_ideal = None
     for kind in ("grevlex", "grlex"):
         order = TermOrder(kind, tuple(range(1, n + 1)))
         mine = reduced_gb(n, m, k, kind=kind)
         oracle = oracle_reduced_gb(n, m, k, OracleConfig(order))
         row[f"gb_{kind}"] = mine.fingerprint() == oracle.fingerprint()
         if kind == "grevlex":
-            oracle_lms = oracle.leading_monomials()
+            oracle_ideal = oracle.initial_ideal()
     series = truncate_lefschetz(hs_complete_intersection(m), k)
     ideal = minimal_generators(n, m, k)
-    # a reduced basis has minimal leading monomials, which the ideal checks
-    oracle_lms = sorted(oracle_lms, key=grevlex(n).key, reverse=True)
-    oracle_ideal = MonomialIdeal(n, tuple(oracle_lms))
     agree = True
     for d in range(len(series) + 2):
         counted = hf_quotient(n, m, k, d, ideal=ideal)
@@ -675,6 +654,9 @@ def verify_all(grid, census: bool = False) -> dict:
     ]
     threads = _thread_count()
     if threads > 1 and len(cases) > 1:
+        # imported here: it loads multiprocessing, which no other path needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_verify_case, cases, chunksize=4))
     else:

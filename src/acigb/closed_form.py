@@ -34,9 +34,9 @@ from .algebra import (
 )
 from .initial_ideal import (
     MonomialIdeal,
+    critical_exponent,
     critical_sets,
     minimal_generators,
-    pure_power_removed,
 )
 
 
@@ -47,7 +47,7 @@ def _check_generator_shape(s, j: int, m, k: int, n_total: int) -> None:
         raise ValueError(f"largest variable of {s} is not {j}")
     if not is_m_free(s, m):
         raise ValueError(f"{s} is not m-free")
-    expected = 2 * mono_degree(s) - k - sum(m[: j - 1]) + (j - 1)
+    expected = critical_exponent(s, m, k, j)
     if s[j - 1] != expected:
         raise ValueError(f"{s} is not critical: x_{j} exponent must be {expected}")
 
@@ -178,7 +178,7 @@ def _certificate_frame(s, m, k: int):
     if s[n - 1] <= 0:
         raise ValueError("last variable must divide the monomial")
     m_x = tuple(m[: n - 1])
-    expected = 2 * mono_degree(s) - k - sum(m_x) + (n - 1)
+    expected = critical_exponent(s, m, k, n)
     if s[n - 1] != expected:
         raise ValueError(f"last exponent must be {expected}, got {s[n - 1]}")
     if any(s[i] > m_x[i] - 1 for i in range(n - 1)):
@@ -283,6 +283,12 @@ class GroebnerBasis:
     def leading_monomials(self) -> tuple:
         return self.leads
 
+    def initial_ideal(self) -> MonomialIdeal:
+        """The ideal of the leading monomials, generators grevlex-descending;
+        a reduced basis has minimal leading monomials, which the ideal checks."""
+        key = grevlex(self.n).key
+        return MonomialIdeal(self.n, tuple(sorted(self.leads, key=key, reverse=True)))
+
     def fingerprint(self) -> frozenset:
         """Marked basis: each element together with its leading monomial.
 
@@ -332,12 +338,10 @@ def reduced_gb(n: int, m, k: int, ranking=None, kind: str = "grevlex") -> Groebn
     def back(mono):
         return tuple(map(mono.__getitem__, src))
 
-    pairs = []
-    for j in range(1, n + 1):
-        if not pure_power_removed(m_perm, k, j):
-            mono = back(tuple(m_perm[j - 1] if i == j - 1 else 0 for i in range(n)))
-            pairs.append((mono, SparsePoly.monomial(n, mono, QQ)))
     crit = critical_sets(n, m_perm, k)
+    pairs = [
+        (mono, SparsePoly.monomial(n, mono, QQ)) for mono in map(back, crit.pure_powers)
+    ]
     for j in range(1, n + 1):
         for s in crit.by_index[j - 1]:
             g = build_gs_divisor_form(s, j, m_perm, k, n)

@@ -95,23 +95,49 @@ class MonomialIdeal:
         return packed_divides_any(self._packed, h, self._guard)
 
 
+def pure_power_removed(m, k: int, j: int) -> bool:
+    """x_j^{m_j} drops out of the minimal generators iff k + D_{j-1} < m_j."""
+    return k + sum(mi - 1 for mi in m[: j - 1]) < m[j - 1]
+
+
+def critical_exponent(s, m, k: int, j: int) -> int:
+    """The x_j-exponent the degree equation asks of s with largest variable j:
+    2*deg(s_{<=j}) - k - sum_{i<j} m_i + (j - 1)."""
+    return 2 * sum(s[:j]) - k - sum(m[: j - 1]) + (j - 1)
+
+
 @dataclass(frozen=True)
 class CriticalSets:
-    """Critical monomials grouped by largest variable index (1-based)."""
+    """The minimal generators of the initial ideal: critical monomials grouped
+    by largest variable index (1-based), each group sorted grevlex-descending,
+    and the kept pure powers x_j^{m_j}, derived from (m, k), in index order."""
 
     n: int
     m: tuple
     k: int
-    by_index: tuple  # n entries, each a sorted tuple of n-variable monomials
+    by_index: tuple  # n groups of n-variable monomials, stored as sorted tuples
+    pure_powers: tuple = field(init=False)
+
+    def __post_init__(self):
+        key = grevlex(self.n).key
+        groups = tuple(tuple(sorted(g, key=key, reverse=True)) for g in self.by_index)
+        pure = tuple(
+            (0,) * (j - 1) + (mj,) + (0,) * (self.n - j)
+            for j, mj in enumerate(self.m, start=1)
+            if not pure_power_removed(self.m, self.k, j)
+        )
+        object.__setattr__(self, "by_index", groups)
+        object.__setattr__(self, "pure_powers", pure)
 
     def union(self) -> tuple:
+        """The critical monomials, sorted grevlex-descending."""
         out = [s for group in self.by_index for s in group]
         return tuple(sorted(out, key=grevlex(self.n).key, reverse=True))
 
-
-def pure_power_removed(m, k: int, j: int) -> bool:
-    """x_j^{m_j} drops out of the minimal generators iff k + D_{j-1} < m_j."""
-    return k + sum(mi - 1 for mi in m[: j - 1]) < m[j - 1]
+    def generators(self) -> tuple:
+        """Every minimal generator, sorted grevlex-descending."""
+        out = self.union() + self.pure_powers
+        return tuple(sorted(out, key=grevlex(self.n).key, reverse=True))
 
 
 def critical_sets(n: int, m, k: int) -> CriticalSets:
@@ -147,30 +173,15 @@ def critical_sets(n: int, m, k: int) -> CriticalSets:
         if not pure_power_removed(m, k, j):
             gens.append(mono_pack((0,) * (j - 1) + (mj,), width, cap))
         gens.extend(mono_pack(s, width, cap) for s in crit_j)
-        pad = n - j
-        by_index.append(
-            tuple(
-                sorted(
-                    (s + (0,) * pad for s in crit_j),
-                    key=grevlex(n).key,
-                    reverse=True,
-                )
-            )
-        )
+        by_index.append([s + (0,) * (n - j) for s in crit_j])
         d_prev += mj - 1
-    return CriticalSets(n, m, k, tuple(by_index))
+    return CriticalSets(n, m, k, by_index)
 
 
 def minimal_generators(n: int, m, k: int) -> MonomialIdeal:
     """Kept pure powers plus critical monomials, as a minimal antichain."""
-    crit = critical_sets(n, m, k)
-    gens = [s for group in crit.by_index for s in group]
-    for j in range(1, n + 1):
-        if not pure_power_removed(m, k, j):
-            gens.append(tuple(m[j - 1] if i == j - 1 else 0 for i in range(n)))
-    gens.sort(key=grevlex(n).key, reverse=True)
     try:
-        return MonomialIdeal(n, tuple(gens))
+        return MonomialIdeal(n, critical_sets(n, m, k).generators())
     except ValueError:
         # the union is itself minimal; a divisibility means a construction bug
         raise RuntimeError(
@@ -184,11 +195,8 @@ def minimal_generators(n: int, m, k: int) -> MonomialIdeal:
 
 def _bar_condition(s, m, k: int, ell: int) -> bool:
     """Membership test for the unintersected level-ell set: x_ell | s and the
-    ell-th exponent matches 2*deg(s_{<=ell}) - k - sum_{i<ell} m_i + (ell-1)."""
-    if s[ell - 1] == 0:
-        return False
-    dg = sum(s[:ell])
-    return s[ell - 1] == 2 * dg - k - sum(m[: ell - 1]) + (ell - 1)
+    ell-th exponent is the one the degree equation asks."""
+    return s[ell - 1] != 0 and s[ell - 1] == critical_exponent(s, m, k, ell)
 
 
 def critical_sets_formula(n: int, m, k: int) -> CriticalSets:
@@ -213,14 +221,7 @@ def critical_sets_formula(n: int, m, k: int) -> CriticalSets:
     by_index: list = [[] for _ in range(n)]
     for s in minimalize_monomials(satisfiers):
         by_index[max_index(s) - 1].append(s)
-    return CriticalSets(
-        n,
-        m,
-        k,
-        tuple(
-            tuple(sorted(g, key=grevlex(n).key, reverse=True)) for g in by_index
-        ),
-    )
+    return CriticalSets(n, m, k, by_index)
 
 
 def _pivot_slope(heights, line, i: int) -> int:
@@ -264,14 +265,7 @@ def critical_sets_paths(n: int, m, k: int) -> CriticalSets:
 
     if n:
         walk((), (0,))
-    return CriticalSets(
-        n,
-        m,
-        k,
-        tuple(
-            tuple(sorted(g, key=grevlex(n).key, reverse=True)) for g in by_index
-        ),
-    )
+    return CriticalSets(n, m, k, by_index)
 
 
 # ---------------------------------------------------------------------------

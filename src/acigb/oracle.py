@@ -21,7 +21,6 @@ from .algebra import (
     SparsePoly,
     TermOrder,
     check_degree_vector,
-    compositions,
     enumerate_m_free,
     grevlex,
     lead_entry,
@@ -32,7 +31,6 @@ from .algebra import (
     mono_divides,
     mono_lcm,
     mono_mul,
-    multinomial,
     reduce_full,
 )
 from .closed_form import GroebnerBasis, sort_elements
@@ -196,9 +194,7 @@ def verify_is_gb(candidate, gens: list, cfg: OracleConfig) -> bool:
 
 
 def initial_ideal_oracle(n: int, m, k: int, cfg: OracleConfig | None = None) -> MonomialIdeal:
-    gb = oracle_reduced_gb(n, m, k, cfg)
-    # a reduced basis has minimal leading monomials, which the ideal checks
-    return MonomialIdeal(n, tuple(sorted(gb.leads, key=grevlex(n).key, reverse=True)))
+    return oracle_reduced_gb(n, m, k, cfg).initial_ideal()
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +231,20 @@ def multiplication_rank(n: int, m, p: int, d: int, e: int = 1) -> int:
     if e < 1:
         raise ValueError(f"multiplier power must be at least 1, got {e}")
     m = check_degree_vector(m)
-    Field(p)
+    field = Field(p)
     source = enumerate_m_free(n, m, d)
     target = enumerate_m_free(n, m, d + e)
     if not source or not target:
         return 0
     col = {mono: idx for idx, mono in enumerate(target)}
+    ell = linear_power(n, 1, e, field).terms.items()
     rows = []
     for u in source:
         row = [0] * len(target)
-        for comp in compositions(e, (e,) * n):
-            v = mono_mul(u, comp)
-            idx = col.get(v)
+        # each term of ell^e lands on its own monomial
+        for comp, c in ell:
+            idx = col.get(mono_mul(u, comp))
             if idx is not None:
-                row[idx] = (row[idx] + multinomial(e, comp)) % p
+                row[idx] = c
         rows.append(row)
     return gaussian_rank(rows, p)

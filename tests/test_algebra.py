@@ -1,5 +1,6 @@
 """Unit and property tests for the exact polynomial layer."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -214,6 +215,20 @@ class TestMonoHelpers:
             assert enumerate_m_free(3, m, d) == list(compositions(d, (2, 1, 3)))
         with pytest.raises(ValueError):
             enumerate_m_free(2, m, 1)
+
+    def test_compositions_leave_no_reference_cycles(self):
+        # the enumerators run in every hot loop; garbage that only the cyclic
+        # collector frees would pile up between its passes
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(20):
+                list(compositions(5, (3, 3, 3)))
+                enumerate_m_free(3, (4, 4, 4), 5)
+                next(compositions(4, (2, 2, 2)))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestPolyArithmetic:

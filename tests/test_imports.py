@@ -1,5 +1,5 @@
-"""The modules of the package import each other without a cycle, and none
-of them computes with floats.
+"""The modules of the package import each other without a cycle, none of
+them computes with floats, and the CLI starts without the process pool.
 
 Imports are read from the source with ``ast``, so an import inside a
 function body counts as much as one at module level.
@@ -7,6 +7,9 @@ function body counts as much as one at module level.
 
 import ast
 import graphlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import acigb
@@ -97,3 +100,13 @@ def test_package_has_no_floats():
         if (sites := float_sites(path.read_text()))
     }
     assert found == {}
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only verify with ACI_GB_THREADS > 1 uses it, and it loads multiprocessing
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = "import sys, acigb.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from acigb.algebra import mono_divides
+from acigb.closed_form import reduced_gb
 from acigb.hilbert import hf, hs_complete_intersection, truncate_lefschetz
 from acigb.initial_ideal import (
     CriticalSets,
@@ -172,10 +173,22 @@ class TestCriticalSets:
 
     def test_three_routes_agree(self):
         for n, m, k in small_grid():
-            a = critical_sets(n, m, k).by_index
-            b = critical_sets_formula(n, m, k).by_index
-            c = critical_sets_paths(n, m, k).by_index
+            a = critical_sets(n, m, k)
+            b = critical_sets_formula(n, m, k)
+            c = critical_sets_paths(n, m, k)
             assert a == b == c, (n, m, k)
+            assert reduced_gb(n, m, k).initial_ideal() == minimal_generators(n, m, k)
+
+    def test_groups_sorted_and_pure_powers_derived(self):
+        # a route hands over its groups in any order; the sets own both the
+        # grevlex order and the pure-power rule
+        n, m, k = GOLDEN
+        level_four = [(1, 1, 0, 2), (0, 1, 1, 2), (1, 0, 1, 2)]
+        crit = CriticalSets(n, m, k, [[(2, 0, 0, 0)], [], [(1, 1, 1, 0)], level_four])
+        assert crit.by_index[3] == ((1, 1, 0, 2), (1, 0, 1, 2), (0, 1, 1, 2))
+        assert crit.pure_powers == ((0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 3))
+        assert crit == critical_sets(n, m, k)
+        assert crit.generators() == minimal_generators(n, m, k).min_gens
 
     def test_degenerate_large_power(self):
         # once k reaches past the socle degree nothing is critical
@@ -222,6 +235,27 @@ class TestStructure:
     def test_revlex_segment_on_grid(self):
         for n, m, k in small_grid():
             assert check_revlex_segment(n, m, k), (n, m, k)
+
+    def test_revlex_segment_holds_only_above_the_generators(self):
+        # check_revlex_segment looks above each m-free generator only; the
+        # ideal need not meet a degree's m-free monomials in an initial
+        # segment: at m = (3, 3, 2), k = 1, degree 2, x2^2 lies outside while
+        # x1*x3, after it in grevlex, lies inside (x1 is a generator)
+        n, m, k = 3, (3, 3, 2), 1
+        ideal = minimal_generators(n, m, k)
+        assert check_revlex_segment(n, m, k, ideal)
+        degree_two = enumerate_m_free(n, m, 2)
+        assert degree_two == [(2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1)]
+        assert [ideal.contains(s) for s in degree_two] == [True, True, False, True, False]
+        # equal exponents too: some degree of (4, 4, 4, 4), k = 1 breaks it
+        n, m, k = 4, (4, 4, 4, 4), 1
+        ideal = minimal_generators(n, m, k)
+        assert check_revlex_segment(n, m, k, ideal)
+        inside = [
+            [ideal.contains(s) for s in enumerate_m_free(n, m, d)]
+            for d in range(sum(mi - 1 for mi in m) + 1)
+        ]
+        assert any(row != sorted(row, reverse=True) for row in inside)
 
     def test_revlex_segment_detects_violation(self):
         # x2^2 alone is not a revlex segment in two variables: x1x2 and x1^2
