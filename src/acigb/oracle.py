@@ -202,27 +202,34 @@ def initial_ideal_oracle(n: int, m, k: int, cfg: OracleConfig | None = None) -> 
 
 
 def gaussian_rank(rows: list, p: int) -> int:
-    """Rank of an integer matrix over F_p: the pivot count of a forward
-    elimination, which clears only the rows below each pivot."""
+    """Rank of an integer matrix over F_p, the input left untouched.
+
+    Each row becomes a sparse ``{column: entry mod p}`` dict and is reduced
+    by the pivot rows kept so far, each monic in its leading column, here
+    its last nonzero one; a row that survives becomes a pivot row.  For a
+    multiplication map with grevlex-descending columns most rows then lead
+    in distinct columns and need no reduction at all."""
     Field(p)
-    rows = [[x % p for x in row] for row in rows]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        inv = pow(top[col], -1, p)
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                c = rows[r][col] * inv % p
-                rows[r] = [(a - c * b) % p for a, b in zip(rows[r], top)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    pivots = {}  # leading column -> monic pivot row
+    for dense in rows:
+        row = {j: v for j, x in enumerate(dense) if (v := x % p)}
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {j: c * inv % p for j, c in row.items()}
+                break
+            # no column of the pivot lies after lead, so the reduced row
+            # leads strictly earlier
+            c = row[lead]
+            for j, b in pivot.items():
+                v = (row.get(j, 0) - c * b) % p
+                if v:
+                    row[j] = v
+                else:
+                    row.pop(j, None)
+    return len(pivots)
 
 
 def multiplication_rank(n: int, m, p: int, d: int, e: int = 1) -> int:

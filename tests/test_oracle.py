@@ -389,6 +389,37 @@ class TestGaussianRank:
             assert gaussian_rank(rows, p) == span_rank(rows, p), (rows, p)
             assert rows == before
 
+    def test_rank_of_transpose_on_larger_matrices(self):
+        # no reference elimination: a matrix and its transpose share their
+        # rank, and a product through k columns has rank at most k
+        rng = random.Random(14)
+        for _ in range(120):
+            p = rng.choice((2, 3, 7, 32003))
+            r, c, k = rng.randint(1, 25), rng.randint(1, 30), rng.randint(1, 25)
+            left = [[rng.randint(-p, p) for _ in range(k)] for _ in range(r)]
+            right = [[rng.choice((0, 0, rng.randint(-p, p))) for _ in range(c)] for _ in range(k)]
+            # entries in -p..p, with both signs for the same residue
+            rows = [
+                [sum(a * b for a, b in zip(row, col)) % p - p * rng.randint(0, 1)
+                 for col in zip(*right)]
+                for row in left
+            ]
+            before = [list(row) for row in rows]
+            rank = gaussian_rank(rows, p)
+            assert rows == before
+            assert rank <= min(r, c, k)
+            assert gaussian_rank([list(col) for col in zip(*rows)], p) == rank, (rows, p)
+            perm = list(range(c))
+            rng.shuffle(perm)
+            shuffled = [[row[j] for j in perm] for row in rows]
+            assert gaussian_rank(shuffled, p) == rank, (rows, p)
+            # a zero row and a zero column add nothing
+            assert gaussian_rank(rows + [[0] * c], p) == rank
+            assert gaussian_rank([row + [p * rng.randint(-1, 1)] for row in rows], p) == rank
+        for p in (2, 32003):
+            assert gaussian_rank([[0] * 30 for _ in range(25)], p) == 0
+            assert gaussian_rank([[p, -p, 2 * p]], p) == 0
+
     def test_empty_matrices(self):
         assert gaussian_rank([], 3) == 0
         assert gaussian_rank([[], []], 3) == 0

@@ -1,12 +1,15 @@
 """Characteristic-p Lefschetz decisions and their three routes."""
 
+import itertools
+
 import pytest
 
 from acigb import wlp as wlp_module
 from acigb.algebra import clear_denominators, grevlex
 from acigb.closed_form import reduced_gb
+from acigb.hilbert import hf, hs_complete_intersection
 from acigb.initial_ideal import minimal_generators
-from acigb.oracle import OracleConfig, initial_ideal_oracle
+from acigb.oracle import OracleConfig, initial_ideal_oracle, multiplication_rank
 from acigb.wlp import (
     RouteFinding,
     gb_mod_p_check,
@@ -161,6 +164,34 @@ class TestGbModPCheck:
                         while v % q == 0:
                             v //= q
                     assert v == 1, (n, m, k)
+
+
+def rank_census():
+    for n in range(1, 5):
+        for m in itertools.combinations_with_replacement((2, 3, 4), n):
+            yield n, m
+    yield len(MIXED), MIXED
+
+
+class TestRankScan:
+    def test_lower_half_scan_matches_full_scan(self):
+        # the rank route scans only d < (top + 1) / 2, trusting that xl
+        # from d and from top - 1 - d are transposes of each other
+        for n, m in rank_census():
+            top = sum(mi - 1 for mi in m)
+            series = hs_complete_intersection(m)
+            for p in (2, 3, 5, 7):
+                ranks = [multiplication_rank(n, m, p, d) for d in range(top)]
+                assert ranks == ranks[::-1], (m, p)
+                expected = [min(hf(series, d), hf(series, d + 1)) for d in range(top)]
+                deficient = [
+                    (d, got, want)
+                    for d, (got, want) in enumerate(zip(ranks, expected))
+                    if got != want
+                ]
+                finding = wlp_module._run_rank(n, m, p)
+                assert finding.holds == (not deficient), (m, p)
+                assert finding.witness == (deficient[0] if deficient else None), (m, p)
 
 
 class TestWlpDecide:
