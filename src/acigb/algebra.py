@@ -2,8 +2,9 @@
 
 Monomials are exponent tuples, polynomials are dicts mapping exponent tuples
 to nonzero coefficients. Coefficients live either in Q (stdlib Fraction) or in
-a prime field GF(p) (ints reduced mod p). The reduction tables over Q hold
-primitive integer polynomials instead, with int coefficients. Everything here
+a prime field GF(p) (ints reduced mod p). Normal forms are computed on packed
+keys, one int per monomial (``PackedLayout``), and the reduction tables over
+Q hold primitive integer polynomials, with int coefficients. Everything here
 is exact; floats never appear.
 """
 
@@ -176,11 +177,6 @@ def packed_divides_any(gens, h: int, guard: int) -> bool:
     return any((h - g) & guard == guard for g in gens)
 
 
-def mono_div(a: Mono, b: Mono) -> Mono:
-    """a / b, assuming b divides a."""
-    return tuple(map(operator.sub, a, b))
-
-
 def mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(map(max, a, b))
 
@@ -297,6 +293,54 @@ def grevlex(n: int) -> TermOrder:
 
 def grlex(n: int) -> TermOrder:
     return TermOrder("grlex", tuple(range(1, n + 1)))
+
+
+class PackedLayout:
+    """Monomials of degree at most bound as one int each, whose integer order
+    is the term order (Monagan & Pearce, CASC 2007).
+
+    The exponents, permuted by the ranking, fill one ``packing(n, bound)``
+    field each below the degree in the top bits: grevlex fields hold
+    bound - e_n, ..., bound - e_1 and grlex fields e_1, ..., e_n, most
+    significant first.  The key is linear in the exponents, so
+    key(a * b) = key(a) + key(b) - key(1) while a * b fits.  With
+    ``code(key) = guard + sign * (field bits of key)``, sign 1 in grevlex and
+    -1 in grlex, a divides b iff
+    ``(code(key(a)) - sign * key(b)) & guard == guard``: each field of the
+    difference holds its guard bit plus b_i - a_i, which borrows from no
+    other field, and the degree bits lie above them all.
+    """
+
+    __slots__ = ("order", "bound", "guard", "mask", "sign", "one", "weights", "shifts", "fmask")
+
+    def __init__(self, order: TermOrder, bound: int):
+        n = order.n
+        width, guard = packing(n, bound)
+        top = n * width
+        # field j of the ranked exponents sits at bit j * width in grevlex,
+        # (n - 1 - j) * width in grlex
+        rev = order.kind == "grevlex"
+        shifts = [0] * n
+        for j, v in enumerate(order.ranking):
+            shifts[v - 1] = (j if rev else n - 1 - j) * width
+        self.order, self.bound, self.guard = order, bound, guard
+        self.mask, self.fmask = (1 << top) - 1, (1 << width) - 1
+        self.sign = 1 if rev else -1
+        self.shifts = tuple(shifts)
+        self.weights = tuple((1 << top) - self.sign * (1 << s) for s in shifts)
+        self.one = bound * sum(1 << s for s in shifts) if rev else 0
+
+    def pack(self, mono: Mono) -> int:
+        return self.one + sum(map(operator.mul, mono, self.weights))
+
+    def unpack(self, key: int) -> Mono:
+        fmask = self.fmask
+        if self.sign > 0:
+            return tuple([self.bound - ((key >> s) & fmask) for s in self.shifts])
+        return tuple([(key >> s) & fmask for s in self.shifts])
+
+    def code(self, key: int) -> int:
+        return self.guard + self.sign * (key & self.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -499,32 +543,79 @@ def primitive_part(terms: dict, lead: Mono) -> dict:
     return ints if content == 1 else {m: v // content for m, v in ints.items()}
 
 
-def lead_entry(g: SparsePoly, lm: Mono) -> tuple:
-    """The ``lead_table`` entry (lm, lc, multiple of g) of a nonzero g with
-    leading monomial lm.  The multiple is monic over F_p, so lc = 1, and over
-    Q primitive with integer coefficients and lc > 0; reducing by it is
-    reducing by g."""
-    if g.field.p is None:
-        g = SparsePoly(g.n, g.field, primitive_part(g.terms, lm))
-    elif g.terms[lm] != 1:
-        g = g.scale(g.field.inv(g.terms[lm]))
-    return lm, g.terms[lm], g
+class PackedPoly:
+    """A polynomial on the keys of one ``PackedLayout``: terms maps key to
+    coefficient.  Reductions over Q keep ints, and any nonzero integer
+    multiple stands for the polynomial there."""
+
+    __slots__ = ("layout", "field", "terms")
+
+    def __init__(self, layout: PackedLayout, field: Field, terms: dict):
+        self.layout = layout
+        self.field = field
+        self.terms = terms
+
+    def is_zero(self) -> bool:
+        return not self.terms
 
 
-def lead_table(reducers, order: TermOrder) -> list:
-    """``lead_entry`` of every nonzero reducer, in the given order: the table
-    ``reduce_full`` searches."""
-    table = []
-    for g in reducers:
-        lt = g.leading_term(order)
-        if lt is not None:
-            table.append(lead_entry(g, lt[0]))
-    return table
+class LeadTable(list):
+    """``lead_entry`` tuples on the keys of one layout, in the order
+    ``reduce_full`` searches them."""
+
+    __slots__ = ("layout",)
+
+    def __init__(self, layout: PackedLayout, entries):
+        super().__init__(entries)
+        self.layout = layout
+
+
+def lead_entry(h: PackedPoly) -> tuple:
+    """The table entry (code, key, lc, tail) of a nonzero h: the leading key
+    with its divisibility code and coefficient, and the other terms as
+    (key, coeff) pairs, of a multiple of h that is monic over F_p, so lc = 1,
+    and over Q primitive with lc > 0; h has integer coefficients there.
+    Reducing by the entry is reducing by h."""
+    terms, key, p = h.terms, max(h.terms), h.field.p
+    if p is None:
+        content = math.gcd(*terms.values())
+        if terms[key] < 0:
+            content = -content
+        if content != 1:
+            terms = {k: c // content for k, c in terms.items()}
+    elif terms[key] != 1:
+        inv = pow(terms[key], -1, p)
+        terms = {k: c * inv % p for k, c in terms.items()}
+    tail = tuple((k, c) for k, c in terms.items() if k != key)
+    return h.layout.code(key), key, terms[key], tail
+
+
+def lead_table(reducers, order: TermOrder, layout: PackedLayout | None = None) -> LeadTable:
+    """``lead_entry`` of every nonzero reducer, in the given order, on the
+    keys of layout, by default the narrowest one that fits every reducer: the
+    table ``reduce_full`` searches."""
+    reducers = [g for g in reducers if not g.is_zero()]
+    if layout is None:
+        layout = PackedLayout(order, max((g.degree() for g in reducers), default=0))
+    return LeadTable(
+        layout,
+        (lead_entry(PackedPoly(layout, g.field, _pack_terms(g, layout)[1])) for g in reducers),
+    )
+
+
+def _pack_terms(f: SparsePoly, layout: PackedLayout) -> tuple:
+    """(scale, terms) of f on the keys of layout: over Q the coefficients
+    times scale, the lcm of their denominators, as ints."""
+    pack = layout.pack
+    if f.field.p is None:
+        scale = math.lcm(*[c.denominator for c in f.terms.values()])
+        return scale, {pack(m): c.numerator * (scale // c.denominator) for m, c in f.terms.items()}
+    return 1, {pack(m): c for m, c in f.terms.items()}
 
 
 def reduce_full(
-    f: SparsePoly, reducers: list | None, order: TermOrder, table: list | None = None
-) -> SparsePoly:
+    f: SparsePoly | PackedPoly, reducers: list | None, order: TermOrder, table: list | None = None
+) -> SparsePoly | PackedPoly:
     """Full normal form of f modulo a list of polynomials.
 
     Every term of the result is divisible by no leading monomial of the
@@ -532,32 +623,60 @@ def reduce_full(
     reduces many polynomials by the same reducers may pass their
     ``lead_table`` as ``table``; ``reducers`` is then not read.
 
-    Over Q the work runs on integers: to cancel a term c by a reducer with
-    leading coefficient lc, it scales the work and the remainder by
-    lc / gcd(lc, c) when that is not 1.  Dividing the remainder by the
-    product of the scales and f's denominator lcm gives the exact normal
-    form.  Over F_p the stored reducers are monic and nothing scales.
+    A ``PackedPoly`` f reduces by a table on the keys of its own layout,
+    which must fit f (in a graded order no term of the reduction lies above
+    f's degree), and the result is a ``PackedPoly``: over Q the normal form
+    times a positive integer.  A ``SparsePoly`` f is packed with the table,
+    widened to f's degree where needed, and comes back as the exact normal
+    form, a ``SparsePoly``.
     """
+    if isinstance(f, PackedPoly):
+        remainder, _ = _reduce(dict(f.terms), table, f.layout, f.field.p)
+        return PackedPoly(f.layout, f.field, remainder)
     field = f.field
     if table is None:
         table = lead_table(reducers, order)
+    layout = table.layout
+    if f.degree() > layout.bound:
+        old, layout = layout, PackedLayout(order, f.degree())
+        table = [
+            lead_entry(PackedPoly(layout, field, {
+                layout.pack(old.unpack(k)): c for k, c in ((key, lc),) + tail
+            }))
+            for _, key, lc, tail in table
+        ]
+    scale, work = _pack_terms(f, layout)
+    remainder, more = _reduce(work, table, layout, field.p)
+    unpack = layout.unpack
     if field.p is None:
-        scale = math.lcm(*[c.denominator for c in f.terms.values()])
-        work = {m: c.numerator * (scale // c.denominator) for m, c in f.terms.items()}
-    else:
-        # the Q setup would give the same dict, at about 50 times the cost
-        scale, work = 1, dict(f.terms)
+        scale *= more
+        return SparsePoly(f.n, field, {unpack(k): Fraction(v, scale) for k, v in remainder.items()})
+    return SparsePoly(f.n, field, {unpack(k): v for k, v in remainder.items()})
+
+
+def _reduce(work: dict, table: list, layout: PackedLayout, p: int | None) -> tuple:
+    """(remainder, scale) of the work, a {key: coeff} dict that it consumes:
+    the remainder is scale times the normal form.
+
+    Over Q the work runs on integers: to cancel a term c by an entry with
+    leading coefficient lc, it scales the work and the remainder by
+    lc / gcd(lc, c) when that is not 1.  Over F_p the entries are monic and
+    nothing scales.  The first entry whose lead divides the largest term
+    reduces it, and the term c * (q * g_t) of the step has key
+    key(g_t) + key(q * lm) - key(lm).
+    """
+    guard, sign = layout.guard, layout.sign
     remainder: dict = {}
-    key = order.key
-    keys = {mono: key(mono) for mono in work}
+    scale = 1
     while work:
-        mono = max(work, key=keys.__getitem__)
-        c = work.pop(mono)
-        for lm, lc, g in table:
-            if mono_divides(lm, mono):
+        key = max(work)
+        c = work.pop(key)
+        b = sign * key
+        for code, lead, lc, tail in table:
+            if (code - b) & guard == guard:
                 break
         else:
-            remainder[mono] = c
+            remainder[key] = c
             continue
         if lc != 1:
             d = math.gcd(lc, c)
@@ -567,21 +686,18 @@ def reduce_full(
                 remainder = {t: v * a for t, v in remainder.items()}
                 scale *= a
             c //= d
-        q = mono_div(mono, lm)
-        for gm, gc in g.terms.items():
-            if gm == lm:
-                continue
-            t = mono_mul(q, gm)
-            acc = field.norm(work.get(t, 0) - c * gc)
+        shift = key - lead
+        for t, v in tail:
+            t += shift
+            acc = work.get(t, 0) - c * v
+            if p:
+                acc %= p
             if acc:
-                if t not in keys:
-                    keys[t] = key(t)
                 work[t] = acc
             else:
-                work.pop(t, None)
-    if field.p is None:
-        remainder = {m: Fraction(v, scale) for m, v in remainder.items()}
-    return SparsePoly(f.n, field, remainder)
+                # c * v is nonzero, so t was in the work
+                del work[t]
+    return remainder, scale
 
 
 def clear_denominators(f: SparsePoly, lead: Mono | None = None) -> SparsePoly:

@@ -85,6 +85,10 @@ SEQ_FAMILIES = ("g", "motzkin", "riordan", "catalan", "s-catalan", "spin")
 # coefficients that the g and spin scan or ``hilbert`` builds.
 SEQ_BUDGET = 4_000_000
 
+# The most cases one ``verify`` grid may hold, about 20 times the default
+# grid's 480; it is checked before the case list is built.
+VERIFY_BUDGET = 10_000
+
 
 # ---------------------------------------------------------------------------
 # argument plumbing
@@ -641,11 +645,29 @@ def _thread_count() -> int:
     return max(1, min(wanted, os.cpu_count() or 1))
 
 
+def _grid_size(n_max: int, m_max: int, k_max: int) -> int:
+    """Cases of the verify grid, k_max * sum of (m_max - 1)^n over
+    n = 1..n_max, in closed form.  With m_max > 2 the count is exact only up
+    to n = VERIFY_BUDGET.bit_length(), where it has passed the budget."""
+    r = m_max - 1
+    if min(n_max, r, k_max) < 1:
+        return 0
+    if r == 1:
+        return k_max * n_max
+    n = min(n_max, VERIFY_BUDGET.bit_length())
+    return k_max * r * (r**n - 1) // (r - 1)
+
+
 def verify_all(grid, census: bool = False) -> dict:
     """Cross-check every case of the grid: closed-form basis against the
     Buchberger oracle in both orders, and the three Hilbert function routes
     against each other. Grid bounds are inclusive; exponents run from 2."""
     n_max, m_max, k_max = grid
+    if _grid_size(n_max, m_max, k_max) > VERIFY_BUDGET:
+        raise ValueError(
+            f"verify grid over the size budget of {VERIFY_BUDGET} cases; "
+            "lower --n-max, --m-max or --k-max"
+        )
     cases = [
         (n, m, k, census)
         for n in range(1, n_max + 1)

@@ -5,6 +5,12 @@ are computed from the raw generators by S-polynomial reduction, so agreement
 with the constructive modules is a genuine cross-check rather than a
 tautology.  Works over the rationals or a prime field, with an optional
 degree cap that is sound for homogeneous inputs.
+
+The reductions run on the packed keys of ``algebra.PackedLayout``, one int
+per monomial whose integer order is the term order: the lead tables, the
+S-polynomials and every ``reduce_full`` stay packed from the first pair to
+the end of the interreduction, and only the pair criteria read exponent
+tuples.  ``buchberger`` takes and returns ``SparsePoly`` polynomials.
 """
 
 from __future__ import annotations
@@ -14,10 +20,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .algebra import (
     QQ,
     Field,
+    PackedLayout,
+    PackedPoly,
     SparsePoly,
     TermOrder,
     check_degree_vector,
@@ -26,8 +35,6 @@ from .algebra import (
     lead_entry,
     lead_table,
     linear_power,
-    mono_degree,
-    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -64,38 +71,70 @@ def power_sum_generators(n: int, m, k: int, field: Field = QQ) -> list:
     return gens
 
 
-def spoly(a: tuple, b: tuple) -> SparsePoly:
-    """S-polynomial of two ``lead_table`` entries (lm, lc, polynomial), with
-    the cofactors lc_b / gcd and lc_a / gcd of the leading coefficients, so
-    integer entries give an integer result; both are 1 over F_p."""
-    (ma, ca, f), (mb, cb, g) = a, b
-    lcm = mono_lcm(ma, mb)
+def spoly(a: tuple, b: tuple, lcm: int, layout: PackedLayout, field: Field) -> PackedPoly:
+    """S-polynomial of two ``lead_table`` entries on the keys of layout, whose
+    leads have the packed lcm ``lcm``, with the cofactors lc_b / gcd and
+    lc_a / gcd of the leading coefficients, so integer entries give an
+    integer result; both are 1 over F_p.  The leading terms cancel, and a
+    tail term t of either side moves to t + lcm - lead."""
+    (_, ka, ca, ta), (_, kb, cb, tb) = a, b
     d = math.gcd(ca, cb)
+    fa, fb, p = cb // d, -(ca // d), field.p
+    shift = lcm - ka
+    terms = {t + shift: fa * v for t, v in ta}
+    shift = lcm - kb
+    for t, v in tb:
+        t += shift
+        acc = terms.get(t, 0) + fb * v
+        if p:
+            acc %= p
+        if acc:
+            terms[t] = acc
+        else:
+            del terms[t]
+    return PackedPoly(layout, field, terms)
 
-    def part(h, lm, c):  # c * (lcm / lm) * h without its leading term, which cancels
-        q = mono_div(lcm, lm)
-        terms = {mono_mul(q, m): c * v for m, v in h.terms.items() if m != lm}
-        return SparsePoly(h.n, h.field, terms)
 
-    return part(f, ma, cb // d).add(part(g, mb, -(ca // d)))
-
-
-def _interreduce(table: list, order: TermOrder) -> list:
+def _interreduce(table: list, layout: PackedLayout, field: Field) -> list:
     """Reduced basis from the lead table of a Groebner basis, as (leading
     monomial, monic element) pairs."""
-    # minimality first: drop any element whose leading monomial another divides
+    # minimality first: drop any element whose leading monomial another
+    # divides; keys sort in the term order
+    guard, sign = layout.guard, layout.sign
     kept: list = []
-    for entry in sorted(table, key=lambda e: order.key(e[0])):
-        if not any(mono_divides(lm, entry[0]) for lm, _, _ in kept):
+    for entry in sorted(table, key=itemgetter(1)):
+        b = sign * entry[1]
+        if not any((code - b) & guard == guard for code, _, _, _ in kept):
             kept.append(entry)
     # then push every tail outside the span of the leading monomials.  Being
     # reduced depends only on the leads of the others, which never move, so
     # one pass is enough; a tail term lies below its lead, so only the entries
     # before it in ascending order can divide it, and those are reduced already
-    for i, (lm, _, g) in enumerate(kept):
-        kept[i] = lead_entry(reduce_full(g, None, order, table=kept[:i]), lm)
-    # only now leave the ring: dividing by lc (1 over F_p) makes each monic
-    return [(lm, g.scale(Fraction(1, lc))) for lm, lc, g in kept]
+    order = layout.order
+    for i, (_, key, lc, tail) in enumerate(kept):
+        g = PackedPoly(layout, field, dict(((key, lc),) + tail))
+        kept[i] = lead_entry(reduce_full(g, None, order, table=kept[:i]))
+    # only now leave the ring and the packed keys: dividing by lc (1 over
+    # F_p) makes each monic
+    unpack, monic = layout.unpack, Fraction if field.p is None else lambda v, lc: v
+    return [
+        (unpack(key), SparsePoly(order.n, field, {
+            unpack(t): monic(v, lc) for t, v in ((key, lc),) + tail
+        }))
+        for _, key, lc, tail in kept
+    ]
+
+
+class _Overflow(Exception):
+    """An S-pair's lcm of degree args[0] lies above the layout's bound."""
+
+
+def _start_bound(gens: list, cap: int | None) -> int:
+    """Exponent bound of the first layout a run packs in: the sum of the
+    generator degrees, or under a cap the cap or the largest generator degree,
+    whichever is larger."""
+    degrees = [g.degree() for g in gens if not g.is_zero()]
+    return sum(degrees) if cap is None else max([cap] + degrees)
 
 
 def buchberger(gens: list, cfg: OracleConfig) -> tuple:
@@ -107,59 +146,83 @@ def buchberger(gens: list, cfg: OracleConfig) -> tuple:
     later lead divides), keeps one pair per minimal lcm, none for an lcm a
     coprime pair shares, and deletes each waiting pair whose lcm the new lead
     divides with a different lcm on both sides.  Deletion is lazy: the pairs
-    wait in a heap of ``(order.key(lcm), i, j)``, i > j, and one that left
-    ``live`` is skipped when popped.  The pair with the smallest lcm in the
-    order comes next and ties go to the lower indices; the reduced basis is
-    unique, so the tie-break never shows in the result.  A degree cap
-    discards pairs above the cap, which loses nothing below it when all
+    wait in a heap of (packed lcm, i, j), i > j, and one that left ``live``
+    is skipped when popped.  The pair with the smallest lcm in the order
+    comes next and ties go to the lower indices; the reduced basis is unique,
+    so the tie-break never shows in the result.  A degree cap drops the pairs
+    above it when they are made, which loses nothing below the cap when all
     inputs are homogeneous; on other inputs a cap is refused.
+
+    The pair criteria run on exponent tuples, the reductions on the keys of
+    one ``PackedLayout``.  Its bound (``_start_bound``) must hold every term
+    of a reduction, and in a graded order none lies above the S-pair's lcm:
+    under a cap the bound covers every pair that is kept, and without one a
+    pair whose lcm does not fit restarts the run on a wider layout.
     """
-    order = cfg.order
     cap = cfg.degree_cap
     if cap is not None and not all(g.is_homogeneous() for g in gens):
         raise ValueError("a degree cap needs homogeneous generators")
-    table: list = []
+    field = cfg.field
+    layout = PackedLayout(cfg.order, _start_bound(gens, cap))
+    while True:
+        try:
+            table = _lead_basis(gens, cap, layout, field)
+        except _Overflow as err:
+            layout = PackedLayout(cfg.order, max(2 * layout.bound, err.args[0]))
+        else:
+            return tuple(_interreduce(table, layout, field))
+
+
+def _lead_basis(gens: list, cap: int | None, layout: PackedLayout, field: Field) -> list:
+    """The lead table of a Groebner basis of (gens): ``buchberger``'s pair
+    loop on the keys of layout."""
+    order = layout.order
+    table = lead_table(gens, order, layout)
+    leads: list = []  # leading monomial of each element, as a tuple
     useful: list = []  # indices of the elements new pairs may use
     live: dict = {}  # waiting pair (i, j) -> lcm
     heap: list = []
+    limit = layout.bound if cap is None else cap
 
-    def update(entry):
-        t, lt = len(table), entry[0]
+    def update(lt):
+        t = len(leads)
         new: dict = {}  # lcm -> one pair index with it, None if a coprime pair has it
         for s in useful:
-            lcm = mono_lcm(lt, table[s][0])
-            if lcm == mono_mul(lt, table[s][0]):
+            lcm = mono_lcm(lt, leads[s])
+            if lcm == mono_mul(lt, leads[s]):
                 new[lcm] = None
             else:
                 new.setdefault(lcm, s)
         for pair, lcm in list(live.items()):
             if (
                 mono_divides(lt, lcm)
-                and mono_lcm(table[pair[0]][0], lt) != lcm
-                and mono_lcm(table[pair[1]][0], lt) != lcm
+                and mono_lcm(leads[pair[0]], lt) != lcm
+                and mono_lcm(leads[pair[1]], lt) != lcm
             ):
                 del live[pair]
         for lcm, s in new.items():
             if s is not None and not any(o != lcm and mono_divides(o, lcm) for o in new):
+                if sum(lcm) > limit:
+                    if cap is None:
+                        raise _Overflow(sum(lcm))
+                    continue  # above the cap: never reduced
                 live[t, s] = lcm
-                heapq.heappush(heap, (order.key(lcm), t, s, lcm))
-        useful[:] = [s for s in useful if not mono_divides(lt, table[s][0])] + [t]
-        table.append(entry)
+                heapq.heappush(heap, (layout.pack(lcm), t, s))
+        useful[:] = [s for s in useful if not mono_divides(lt, leads[s])] + [t]
+        leads.append(lt)
 
-    for entry in lead_table(gens, order):
-        update(entry)
+    for entry in table:
+        update(layout.unpack(entry[1]))
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
-        if cap is not None and mono_degree(lcm) > cap:
-            # pairs leave the heap in a graded order, so every waiting pair
-            # lies above the cap too
-            break
+        lcm, i, j = heapq.heappop(heap)
         if live.pop((i, j), None) is None:
             continue
-        h = reduce_full(spoly(table[i], table[j]), None, order, table=table)
+        h = reduce_full(spoly(table[i], table[j], lcm, layout, field), None, order, table=table)
         if not h.is_zero():
-            update(lead_entry(h, h.leading_term(order)[0]))
-    return tuple(_interreduce(table, order))
+            entry = lead_entry(h)
+            table.append(entry)
+            update(layout.unpack(entry[1]))
+    return table
 
 
 def oracle_reduced_gb(n: int, m, k: int, cfg: OracleConfig | None = None) -> GroebnerBasis:
@@ -178,13 +241,18 @@ def verify_is_gb(candidate, gens: list, cfg: OracleConfig) -> bool:
     every original generator reduces to zero, and each candidate element
     reduces to zero against an independently computed basis of (gens).
     """
-    order = cfg.order
+    order, field = cfg.order, cfg.field
     elements = list(getattr(candidate, "elements", candidate))
     if not elements:
         return all(g.is_zero() for g in gens)
-    table = lead_table(elements, order)
-    for a, b in itertools.combinations(table, 2):
-        if not reduce_full(spoly(a, b), None, order, table=table).is_zero():
+    # an S-polynomial lies in degree at most twice the candidate's degree
+    top = max(g.degree() for g in elements + gens)
+    layout = PackedLayout(order, 2 * max(top, 0))
+    table = lead_table(elements, order, layout)
+    leads = [layout.unpack(entry[1]) for entry in table]
+    for (a, la), (b, lb) in itertools.combinations(zip(table, leads), 2):
+        s = spoly(a, b, layout.pack(mono_lcm(la, lb)), layout, field)
+        if not reduce_full(s, None, order, table=table).is_zero():
             return False
     for g in gens:
         if not reduce_full(g, None, order, table=table).is_zero():

@@ -233,8 +233,8 @@ def wlp_decide(n: int, m, p: int, routes=None) -> WlpVerdict:
             break
     else:
         raise ValueError(
-            "initial ideals differ but that refutes nothing for mixed "
-            "exponents; include the rank route to settle the property"
+            "initial ideals differ, but outside five or more equal exponents "
+            "that refutes nothing; include the rank route to settle the property"
         )
 
     explanation = None

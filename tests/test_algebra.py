@@ -15,6 +15,7 @@ from acigb.algebra import (
     PRIME_CEILING,
     QQ,
     Field,
+    PackedLayout,
     SparsePoly,
     TermOrder,
     binom,
@@ -29,7 +30,6 @@ from acigb.algebra import (
     lead_table,
     linear_power,
     max_index,
-    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -208,6 +208,34 @@ class TestMonoHelpers:
         big = mono_pack((9, 0, 9), width, 2)
         assert packed_divides_any([mono_pack((2, 0, 1), width, 2)], big, guard)
         assert not packed_divides_any([mono_pack((0, 1, 0), width, 2)], big, guard)
+
+    def test_packed_layout_is_the_term_order(self):
+        # random monomials, n <= 7, both kinds, random rankings and several
+        # bounds: integer order is the term order, a product is a sum of
+        # keys, the code tests divisibility and unpacking inverts packing
+        rng = random.Random(20261019)
+
+        def mono(n, degree):
+            cuts = sorted(rng.randint(0, degree) for _ in range(n - 1))
+            return tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+
+        for trial in range(400):
+            n = rng.randint(1, 7)
+            kind = ("grevlex", "grlex")[trial % 2]
+            order = TermOrder(kind, tuple(rng.sample(range(1, n + 1), n)))
+            bound = rng.choice((0, 1, 2, 3, 5, 8, 15, 16, 40))
+            layout = PackedLayout(order, bound)
+            pack, guard, sign = layout.pack, layout.guard, layout.sign
+            monos = {mono(n, rng.randint(0, bound)) for _ in range(12)}
+            assert sorted(monos, key=pack) == sorted(monos, key=order.key)
+            one = pack((0,) * n)
+            for a in monos:
+                assert layout.unpack(pack(a)) == a
+                for b in monos | {mono_mul(a, mono(n, rng.randint(0, bound - sum(a))))}:
+                    divides = (layout.code(pack(a)) - sign * pack(b)) & guard == guard
+                    assert divides == mono_divides(a, b), (order, bound, a, b)
+                    if sum(a) + sum(b) <= bound:
+                        assert pack(mono_mul(a, b)) == pack(a) + pack(b) - one
 
     def test_enumerate_m_free_is_the_bounded_enumerator(self):
         m = (3, 2, 4)
@@ -394,11 +422,17 @@ class TestNormalForms:
         assert reduce_full(f, None, o, table=lead_table(basis, o)) == want
 
     def test_lead_table_stores_primitive_and_monic_multiples(self):
+        # entries are (code, key, lc, tail) on packed keys
         o = grevlex(2)
-        f = P(2, [((1, 0), Fraction(-4, 3)), ((0, 1), 2)])
-        assert lead_table([f], o) == [((1, 0), 2, P(2, [((1, 0), 2), ((0, 1), -3)]))]
-        g = P(2, [((1, 0), 2), ((0, 1), 3)], Field(7))
-        assert lead_table([g], o) == [((1, 0), 1, P(2, [((1, 0), 1), ((0, 1), 5)], Field(7)))]
+        x1, x2 = (1, 0), (0, 1)
+        f = P(2, [(x1, Fraction(-4, 3)), (x2, 2)])
+        table = lead_table([f], o)
+        pack = table.layout.pack
+        assert table == [(table.layout.code(pack(x1)), pack(x1), 2, ((pack(x2), -3),))]
+        g = P(2, [(x1, 2), (x2, 3)], Field(7))
+        table = lead_table([g], o)
+        pack = table.layout.pack
+        assert table == [(table.layout.code(pack(x1)), pack(x1), 1, ((pack(x2), 5),))]
 
     def test_reduce_full_matches_division_in_the_field(self):
         # denominators in f and in the reducers, non-unit leading
@@ -452,6 +486,11 @@ def random_poly(rng, n, field, count):
         for _ in range(count)
     ]
     return P(n, items, field)
+
+
+def mono_div(a, b):
+    """a / b, assuming b divides a: the reference's quotient monomial."""
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def reference_reduce_full(f, reducers, order):

@@ -296,6 +296,22 @@ class TestJsonOutputs:
         assert ideal_finding["route"] == "initial-ideal"
         assert [0, 0, 0, 3, 0] in ideal_finding["witness"][1]
 
+    def test_wlp_initial_ideal_alone_names_the_regime(self, capsys):
+        # equal exponents below five variables: a diverging initial ideal
+        # refutes nothing there either, and the message must not call the
+        # exponents mixed
+        for argv in (
+            ["wlp", "--n", "3", "--m", "2,2,2", "--p", "2", "--routes", "initideal"],
+            ["wlp", "--m", "2,2,2,4,5", "--p", "3", "--routes", "initideal"],
+        ):
+            code, out, err = invoke(argv, capsys)
+            assert (code, out) == (1, ""), argv
+            assert err == (
+                "error: initial ideals differ, but outside five or more equal "
+                "exponents that refutes nothing; include the rank route to "
+                "settle the property\n"
+            )
+
     def test_rank(self, capsys):
         payload = run_json(
             ["rank", "--n", "5", "--m", "2", "--p", "2", "--d", "1"], capsys, "rank"
@@ -738,6 +754,37 @@ class TestExitCodes:
         assert "budget" in err and err.endswith("lower --m\n"), err
         code, _, err = invoke(["hilbert", "--m", "571428", "--k", "1"], capsys)
         assert code == 1 and "computation reached" in err
+
+    def test_verify_refuses_a_grid_over_budget(self, capsys, monkeypatch):
+        # the grid is counted in closed form before its case list is built:
+        # 9,9,9 holds about 1.4e9 cases.  Building the list is where a grid
+        # that passes the check goes next.
+        def reached(*args, **kwargs):
+            raise ValueError("computation reached")
+
+        monkeypatch.setattr(cli_module, "product", reached)
+        budget = cli_module.VERIFY_BUDGET
+        for n_max, m_max, k_max in (
+            (9, 9, 9),
+            (10**18, 10**18, 10**18),
+            (1, budget + 2, 1),
+            (budget + 1, 2, 1),
+            (budget // 2, 2, 3),
+        ):
+            argv = ["verify", "--n-max", str(n_max), "--m-max", str(m_max),
+                    "--k-max", str(k_max)]
+            start = time.perf_counter()
+            code, out, err = invoke(argv, capsys)
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert err.endswith("budget of 10000 cases; lower --n-max, --m-max or --k-max\n")
+        # a grid of exactly the budget goes on to build its cases
+        for n_max, m_max, k_max in ((budget, 2, 1), (1, budget + 1, 1), (budget // 2, 2, 2)):
+            argv = ["verify", "--n-max", str(n_max), "--m-max", str(m_max),
+                    "--k-max", str(k_max)]
+            code, _, err = invoke(argv, capsys)
+            assert code == 1 and "computation reached" in err, argv
 
     def test_empty_grid_trivially_passes(self, capsys):
         code, out, _ = invoke(

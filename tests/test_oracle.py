@@ -8,6 +8,8 @@ import pytest
 
 from acigb.algebra import (
     QQ,
+    Field,
+    PackedLayout,
     SparsePoly,
     TermOrder,
     grevlex,
@@ -16,6 +18,7 @@ from acigb.algebra import (
     linear_power,
     poly_to_text,
 )
+from acigb import oracle
 from acigb.closed_form import reduced_gb
 from acigb.hilbert import hf, hs_complete_intersection, truncate_lefschetz
 from acigb.initial_ideal import hf_quotient, minimal_generators
@@ -104,6 +107,30 @@ class TestBuchberger:
                 rotated = gens[shift:] + gens[:shift]
                 for reordered in (rotated, rotated[::-1]):
                     assert set(buchberger(reordered, cfg)) == want, (n, m, k)
+
+    def test_narrowest_start_restarts_to_the_same_basis(self, monkeypatch):
+        # a layout that only just holds the generators cannot hold their
+        # lcms, so the run restarts on a wider one; the basis must not change
+        cases = [
+            (GOLDEN, grevlex(4)),
+            ((3, (4, 3, 2), 3), TermOrder("grlex", (2, 3, 1))),
+        ]
+        real = oracle.PackedLayout
+        for (n, m, k), order in cases:
+            for p in (None, 7):
+                cfg = OracleConfig(order=order, p=p)
+                gens = power_sum_generators(n, m, k, cfg.field)
+                want = buchberger(gens, cfg)
+                bounds = []
+                with monkeypatch.context() as patch:
+                    patch.setattr(
+                        oracle, "_start_bound", lambda gens, cap: max(g.degree() for g in gens)
+                    )
+                    patch.setattr(
+                        oracle, "PackedLayout", lambda o, b: bounds.append(b) or real(o, b)
+                    )
+                    assert buchberger(gens, cfg) == want, (n, m, k, p)
+                assert bounds[0] == max(m + (k,)) and len(bounds) > 1, bounds
 
     def test_modular_basis_verifies(self):
         cfg = OracleConfig(order=grevlex(3), p=7)
@@ -432,9 +459,15 @@ class TestGaussianRank:
 
 class TestSpoly:
     def test_cancels_leading_terms(self):
+        # S(f, g) = 3 x2 * f - 2 x1 * g = 3 x2^2 - 2 x1^2: the terms at the
+        # lcm x1^2 x2 cancel; over F_7 the entries are monic first, x1^2 + 4 x2
+        # and x1 x2 + 5 x1, so S = 4 x2^2 - 5 x1^2
         order = grevlex(2)
-        f = SparsePoly.from_terms(2, [((2, 0), 1), ((0, 1), 1)])
-        g = SparsePoly.from_terms(2, [((1, 1), 1), ((1, 0), 1)])
-        h = spoly(*lead_table([f, g], order))
-        lcm = (2, 1)
-        assert all(mono != lcm for mono in h.terms)
+        layout = PackedLayout(order, 3)
+        pack = layout.pack
+        for field, want in ((QQ, {(0, 2): 3, (2, 0): -2}), (Field(7), {(0, 2): 4, (2, 0): 2})):
+            f = SparsePoly.from_terms(2, [((2, 0), 2), ((0, 1), 1)], field)
+            g = SparsePoly.from_terms(2, [((1, 1), 3), ((1, 0), 1)], field)
+            table = lead_table([f, g], order, layout)
+            h = spoly(*table, pack((2, 1)), layout, field)
+            assert h.terms == {pack(mono): c for mono, c in want.items()}, field
