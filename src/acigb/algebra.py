@@ -19,8 +19,6 @@ from typing import Iterable, Iterator
 
 Mono = tuple  # exponent tuple, one entry per variable
 
-LT, EQ, GT = -1, 0, 1
-
 
 @lru_cache(maxsize=None)
 def binom(n: int, k: int) -> int:
@@ -116,13 +114,6 @@ class Field:
 
     def norm(self, c):
         return c if self.p is None else c % self.p
-
-    def inv(self, a):
-        if self.p is None:
-            return Fraction(a.denominator, a.numerator)
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
 
 
 QQ = Field()
@@ -278,14 +269,6 @@ class TermOrder:
             return (sum(perm), tuple(map(operator.neg, reversed(perm))))
         return (sum(perm), tuple(perm))
 
-    def cmp(self, a: Mono, b: Mono) -> int:
-        ka, kb = self.key(a), self.key(b)
-        if ka < kb:
-            return LT
-        if ka > kb:
-            return GT
-        return EQ
-
 
 def grevlex(n: int) -> TermOrder:
     return TermOrder("grevlex", tuple(range(1, n + 1)))
@@ -377,8 +360,8 @@ class SparsePoly:
         return cls(n, field, terms)
 
     @classmethod
-    def monomial(cls, n: int, mono: Mono, field: Field = QQ, coeff=1) -> "SparsePoly":
-        return cls.from_terms(n, [(mono, coeff)], field)
+    def monomial(cls, n: int, mono: Mono, field: Field = QQ) -> "SparsePoly":
+        return cls.from_terms(n, [(mono, 1)], field)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -412,20 +395,6 @@ class SparsePoly:
                 terms.pop(mono, None)
         return SparsePoly(self.n, f, terms)
 
-    def neg(self) -> "SparsePoly":
-        f = self.field
-        return SparsePoly(self.n, f, {m: f.norm(-c) for m, c in self.terms.items()})
-
-    def sub(self, other: "SparsePoly") -> "SparsePoly":
-        return self.add(other.neg())
-
-    def scale(self, c) -> "SparsePoly":
-        f = self.field
-        c = f.coerce(c)
-        if not c:
-            return SparsePoly.zero(self.n, f)
-        return SparsePoly(self.n, f, {m: f.norm(v * c) for m, v in self.terms.items()})
-
     def mul_term(self, mono: Mono, c) -> "SparsePoly":
         f = self.field
         c = f.coerce(c)
@@ -447,13 +416,6 @@ class SparsePoly:
                 else:
                     terms.pop(mono, None)
         return SparsePoly(self.n, f, terms)
-
-    def monic(self, order: TermOrder) -> "SparsePoly":
-        """Scale so the leading coefficient is 1 (both coefficient modes)."""
-        lt = self.leading_term(order)
-        if lt is None:
-            return self
-        return self.scale(self.field.inv(lt[1]))
 
     def fingerprint(self):
         """Hashable canonical form: sorted (mono, coeff) pairs."""
@@ -488,59 +450,21 @@ def linear_power(n: int, lo: int, e: int, field: Field = QQ) -> SparsePoly:
     width = n - lo + 1
     if width <= 0:
         raise ValueError("empty variable range")
-    # from_terms drops multinomials that vanish in the field, which happens
-    # for primes not exceeding e
-    return SparsePoly.from_terms(
-        n,
-        (
-            ((0,) * (lo - 1) + comp, multinomial(e, comp))
-            for comp in compositions(e, (e,) * width)
-        ),
-        field,
-    )
+    head, coerce, terms = (0,) * (lo - 1), field.coerce, {}
+    # each composition is its own monomial, so nothing merges; a multinomial
+    # vanishes in F_p for primes p not exceeding e, and is dropped
+    for comp in compositions(e, (e,) * width):
+        c = coerce(multinomial(e, comp))
+        if c:
+            terms[head + comp] = c
+    return SparsePoly(n, field, terms)
 
 
-def expand_last_variable(f: SparsePoly, n_total: int) -> SparsePoly:
-    """Substitute the last variable of f by x_j + ... + x_{n_total}, j = f.n.
-
-    Embeds a polynomial written with a stand-in final variable into a larger
-    ring where that variable means the sum of the trailing variables.
-    """
-    j = f.n
-    if n_total < j:
-        raise ValueError("target ring has too few variables")
-    field = f.field
-    out = SparsePoly.zero(n_total, field)
-    for mono, c in f.terms.items():
-        head = mono[: j - 1] + (0,) * (n_total - j + 1)
-        part = SparsePoly.monomial(n_total, head, field, c)
-        e = mono[j - 1]
-        if e:
-            part = part.mul(linear_power(n_total, j, e, field))
-        out = out.add(part)
-    return out
-
-
-def normal_form_pure_powers(f: SparsePoly, m: tuple, from_index: int = 1) -> SparsePoly:
-    """Drop every term divisible by x_i^{m_i} for i >= from_index (1-based)."""
-    terms = {
-        mono: c
-        for mono, c in f.terms.items()
-        if all(mono[i] < m[i] for i in range(from_index - 1, len(m)))
-    }
+def normal_form_pure_powers(f: SparsePoly, m: tuple) -> SparsePoly:
+    """Drop every term divisible by some x_i^{m_i}; m may cover only the
+    first variables."""
+    terms = {mono: c for mono, c in f.terms.items() if is_m_free(mono, m)}
     return SparsePoly(f.n, f.field, terms)
-
-
-def primitive_part(terms: dict, lead: Mono) -> dict:
-    """The primitive integer multiple of a nonzero dict of rational
-    coefficients (ints or Fractions): scaled by the lcm of the denominators,
-    divided by the content, with a positive coefficient at lead."""
-    den = math.lcm(*[c.denominator for c in terms.values()])
-    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
-    content = math.gcd(*ints.values())
-    if ints[lead] < 0:
-        content = -content
-    return ints if content == 1 else {m: v // content for m, v in ints.items()}
 
 
 class PackedPoly:
@@ -701,16 +625,21 @@ def _reduce(work: dict, table: list, layout: PackedLayout, p: int | None) -> tup
 
 
 def clear_denominators(f: SparsePoly, lead: Mono | None = None) -> SparsePoly:
-    """Primitive integer form (``primitive_part``) with Fraction
-    coefficients; lead defaults to the grevlex leading monomial."""
+    """The primitive integer multiple of f, with Fraction coefficients: f
+    scaled by the lcm of its denominators, divided by the content, with a
+    positive coefficient at lead, by default the grevlex leading monomial."""
     if f.field.p is not None:
         raise ValueError("clear_denominators expects rational coefficients")
     if f.is_zero():
         return f
     if lead is None:
         lead = max(f.terms, key=grevlex(f.n).key)
-    ints = primitive_part(f.terms, lead)
-    return SparsePoly(f.n, f.field, {m: Fraction(v) for m, v in ints.items()})
+    den = math.lcm(*[c.denominator for c in f.terms.values()])
+    ints = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
+    content = math.gcd(*ints.values())
+    if ints[lead] < 0:
+        content = -content
+    return SparsePoly(f.n, f.field, {m: Fraction(v // content) for m, v in ints.items()})
 
 
 # ---------------------------------------------------------------------------

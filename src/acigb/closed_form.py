@@ -17,7 +17,6 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .algebra import (
-    LT,
     QQ,
     SparsePoly,
     TermOrder,
@@ -127,13 +126,14 @@ def build_gs_tail_form(
     s = tuple(s)
     if ideal is None:
         ideal = minimal_generators(n_total, m, k)
-    order = grevlex(n_total)
+    key = grevlex(n_total).key
+    s_key = key(s)
     s_fact = 1
     for si in s:
         s_fact *= factorial(si)
     terms: dict = {s: Fraction(1)}
     for t in enumerate_m_free(n_total, m, mono_degree(s)):
-        if order.cmp(t, s) != LT:
+        if key(t) >= s_key:
             continue
         if any(t[i] > s[i] for i in range(j - 1)):
             continue
@@ -279,9 +279,6 @@ class GroebnerBasis:
     order: TermOrder
     elements: tuple
     leads: tuple
-
-    def leading_monomials(self) -> tuple:
-        return self.leads
 
     def initial_ideal(self) -> MonomialIdeal:
         """The ideal of the leading monomials, generators grevlex-descending;

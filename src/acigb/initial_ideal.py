@@ -86,10 +86,6 @@ class MonomialIdeal:
         object.__setattr__(self, "_guard", guard)
         object.__setattr__(self, "_packed", packed)
 
-    @classmethod
-    def from_generators(cls, n: int, gens) -> "MonomialIdeal":
-        return cls(n, minimalize_monomials(gens))
-
     def contains(self, mono) -> bool:
         h = mono_pack(mono, self._width, self._cap)
         return packed_divides_any(self._packed, h, self._guard)
@@ -136,7 +132,7 @@ class CriticalSets:
 
     def generators(self) -> tuple:
         """Every minimal generator, sorted grevlex-descending."""
-        out = self.union() + self.pure_powers
+        out = [s for group in self.by_index for s in group] + list(self.pure_powers)
         return tuple(sorted(out, key=grevlex(self.n).key, reverse=True))
 
 
@@ -304,13 +300,13 @@ def check_revlex_segment(n: int, m, k: int, ideal: MonomialIdeal | None = None) 
     generator belongs to the ideal."""
     if ideal is None:
         ideal = minimal_generators(n, m, k)
-    order = grevlex(n)
+    key = grevlex(n).key
     for s in ideal.min_gens:
         if not is_m_free(s, m):
             continue
-        d = sum(s)
+        d, s_key = sum(s), key(s)
         for t in compositions(d, (d,) * n):
-            if order.cmp(t, s) == 1 and not ideal.contains(t):
+            if key(t) > s_key and not ideal.contains(t):
                 return False
     return True
 

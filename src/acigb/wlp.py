@@ -16,10 +16,11 @@ repeats the lower half rank for rank, expected rank for expected rank.
 Equality of the initial ideals forces the weak Lefschetz property in
 every case, since the property is read off the Hilbert series of the
 extended quotient.  The converse holds for equal exponents with n >= 5
-but genuinely fails for mixed exponents, where the property can survive
-a change of initial ideal.  The rank scan therefore keeps the final word
-whenever it runs, and a divergence that does not cost the property is
-reported next to the verdict instead of being treated as a conflict.
+but genuinely fails for mixed exponents and for fewer than five equal
+ones, where the property can survive a change of initial ideal.  The
+rank scan therefore keeps the final word whenever it runs, and a
+divergence that does not cost the property is reported next to the
+verdict instead of being treated as a conflict.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ class WlpVerdict:
 
     ``route`` names the finding that settled ``has_wlp`` and ``witness``
     is copied from it.  ``explanation`` is set when the initial ideals
-    diverge without costing the property, which can happen only for
-    mixed exponents.
+    diverge without costing the property, which can happen only outside
+    five or more equal exponents.
     """
 
     n: int
@@ -197,8 +198,8 @@ def wlp_decide(n: int, m, p: int, routes=None) -> WlpVerdict:
     names (threshold, rank or rank-oracle, initideal or initial-ideal)
     restricts the run.  Routes that answer the property itself must
     agree, otherwise the run aborts.  An initial-ideal divergence that
-    leaves the property intact is legitimate for mixed exponents and is
-    returned with an explanation instead.
+    leaves the property intact is legitimate outside five or more equal
+    exponents and is returned with an explanation instead.
     """
     mm = check_degree_vector((m,) * n if isinstance(m, int) else m)
     if len(mm) != n:
@@ -240,10 +241,13 @@ def wlp_decide(n: int, m, p: int, routes=None) -> WlpVerdict:
     explanation = None
     diverged = by_route.get("initial-ideal")
     if has_wlp and diverged is not None and not diverged.holds:
+        regime = (
+            "below five equal exponents" if equigenerated else "once the exponents are mixed"
+        )
         explanation = (
             "the property holds even though the modular initial ideal "
             "differs from the rational one; equal initial ideals are "
-            "sufficient but not necessary once the exponents are mixed"
+            f"sufficient but not necessary {regime}"
         )
 
     return WlpVerdict(

@@ -10,8 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acigb.algebra import (
-    GT,
-    LT,
     PRIME_CEILING,
     QQ,
     Field,
@@ -22,7 +20,6 @@ from acigb.algebra import (
     clear_denominators,
     compositions,
     enumerate_m_free,
-    expand_last_variable,
     grevlex,
     grlex,
     is_m_free,
@@ -51,25 +48,31 @@ def P(n, items, field=QQ):
     return SparsePoly.from_terms(n, items, field)
 
 
+def sign(order, a, b):
+    """-1, 0 or 1 as a comes before, equals or comes after b in the order."""
+    ka, kb = order.key(a), order.key(b)
+    return (ka > kb) - (ka < kb)
+
+
 class TestOrders:
     def test_grevlex_known_comparison(self):
         # x1^2 x3^3 versus x1 x2 x3^3 in three variables
         o = grevlex(3)
-        assert o.cmp((2, 0, 3), (1, 1, 3)) == GT
+        assert o.key((2, 0, 3)) > o.key((1, 1, 3))
 
     def test_grlex_known_comparison(self):
         o = grlex(2)
-        assert o.cmp((0, 3, ), (2, 1)) == LT
+        assert o.key((0, 3)) < o.key((2, 1))
 
     def test_degree_dominates(self):
         o = grevlex(2)
-        assert o.cmp((3, 0), (1, 1)) == GT
+        assert o.key((3, 0)) > o.key((1, 1))
 
     def test_ranking_permutes_variables(self):
         # with x2 ranked highest, x2 beats x1^2 in grlex tie-break? degrees differ;
         # compare x2 vs x1 at equal degree instead
         o = TermOrder("grlex", (2, 1))
-        assert o.cmp((0, 1), (1, 0)) == GT
+        assert o.key((0, 1)) > o.key((1, 0))
 
     def test_key_matches_permute_then_key(self):
         # the key skips the permutation for the identity ranking; either way
@@ -100,22 +103,22 @@ class TestOrders:
     def test_unit_is_minimal(self, a):
         for o in (grevlex(3), grlex(3), TermOrder("grevlex", (3, 1, 2))):
             if sum(a) > 0:
-                assert o.cmp((0, 0, 0), a) == LT
+                assert o.key((0, 0, 0)) < o.key(a)
 
     @given(monos3, monos3, monos3)
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_multiplicative(self, a, b, u):
         for o in (grevlex(3), grlex(3)):
-            assert o.cmp(mono_mul(a, u), mono_mul(b, u)) == o.cmp(a, b)
+            assert sign(o, mono_mul(a, u), mono_mul(b, u)) == sign(o, a, b)
 
     @given(monos3, monos3, monos3)
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_total_order_laws(self, a, b, c):
         o = grevlex(3)
-        assert o.cmp(a, b) == -o.cmp(b, a)
-        assert (o.cmp(a, b) == 0) == (a == b)
-        if o.cmp(a, b) <= 0 and o.cmp(b, c) <= 0:
-            assert o.cmp(a, c) <= 0
+        assert sign(o, a, b) == -sign(o, b, a)
+        assert (o.key(a) == o.key(b)) == (a == b)
+        if sign(o, a, b) <= 0 and sign(o, b, c) <= 0:
+            assert sign(o, a, c) <= 0
 
 
 class TestMonoHelpers:
@@ -300,19 +303,6 @@ class TestPolyArithmetic:
         f = P(5, [((0, 0, 0, 3, 0), 1), ((0, 0, 0, 0, 3), 1)])
         assert f.leading_term(grevlex(5)) == ((0, 0, 0, 3, 0), Fraction(1))
 
-    def test_monic_rational(self):
-        f = P(2, [((2, 0), 2), ((0, 2), 3)])
-        g = f.monic(grevlex(2))
-        assert g.coeff((2, 0)) == 1
-        assert g.coeff((0, 2)) == Fraction(3, 2)
-
-    def test_monic_prime_field(self):
-        gf = Field(7)
-        f = P(2, [((2, 0), 3), ((0, 2), 4)], gf)
-        g = f.monic(grevlex(2))
-        assert g.coeff((2, 0)) == 1
-        assert g.coeff((0, 2)) == 4 * pow(3, 5, 7) % 7
-
     def test_prime_field_rejects_composite(self):
         with pytest.raises(ValueError):
             Field(6)
@@ -360,7 +350,6 @@ class TestPolyArithmetic:
         f = P(3, fa)
         g = P(3, fb)
         assert f.add(g).terms == g.add(f).terms
-        assert f.sub(f).is_zero()
         assert f.mul(g).terms == g.mul(f).terms
         lhs = f.add(g).mul(f)
         rhs = f.mul(f).add(g.mul(f))
@@ -369,15 +358,16 @@ class TestPolyArithmetic:
 
 class TestNormalForms:
     def test_pure_power_drop(self):
-        m = (3, 2, 2, 3)
+        # m may cover only the first variables; x4 is then never reduced
         f = linear_power(4, 3, 2)
-        g = normal_form_pure_powers(f, m, from_index=3)
-        assert g.terms == {(0, 0, 1, 1): Fraction(2), (0, 0, 0, 2): Fraction(1)}
+        for m in ((3, 2, 2, 3), (3, 2, 2)):
+            g = normal_form_pure_powers(f, m)
+            assert g.terms == {(0, 0, 1, 1): Fraction(2), (0, 0, 0, 2): Fraction(1)}
 
     def test_pure_power_drop_to_zero(self):
         m = (2, 2, 2, 3, 3)
         f = P(5, [((0, 0, 0, 3, 0), 1), ((0, 0, 0, 0, 3), 1)])
-        assert normal_form_pure_powers(f, m, from_index=4).is_zero()
+        assert normal_form_pure_powers(f, m).is_zero()
 
     def test_pure_power_idempotent(self):
         m = (3, 2, 2, 3)
@@ -457,13 +447,6 @@ class TestNormalForms:
             if field is QQ:
                 assert all(type(c) is Fraction for c in got.terms.values())
 
-    def test_expand_last_variable(self):
-        # f = x1 * y^2 in 2 vars, expanded into 3 vars: x1*(x2+x3)^2
-        f = P(2, [((1, 2), 1)])
-        g = expand_last_variable(f, 3)
-        expected = variable(3, 1).mul(linear_power(3, 2, 2))
-        assert g.terms == expected.terms
-
     def test_clear_denominators(self):
         f = P(2, [((1, 0), Fraction(1, 2)), ((0, 1), Fraction(1, 3))])
         g = clear_denominators(f)
@@ -502,7 +485,8 @@ def reference_reduce_full(f, reducers, order):
     for g in reducers:
         lt = g.leading_term(order)
         if lt is not None:
-            table.append((lt[0], field.inv(lt[1]), g))
+            inv = 1 / lt[1] if field.p is None else pow(lt[1], -1, field.p)
+            table.append((lt[0], inv, g))
     work = dict(f.terms)
     remainder = {}
     while work:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acigb import cli as cli_module
+from acigb.closed_form import reduced_gb
 from acigb.cli import (
     SEQ_FAMILIES,
     SUBCOMMANDS,
@@ -291,10 +292,27 @@ class TestJsonOutputs:
             ["wlp", "--m", "2,2,2,4,5", "--p", "3"], capsys, "wlp"
         )
         assert payload["has_wlp"] is True
-        assert payload["explanation"] is not None
+        assert payload["explanation"].endswith("not necessary once the exponents are mixed")
         ideal_finding = payload["findings"][-1]
         assert ideal_finding["route"] == "initial-ideal"
         assert [0, 0, 0, 3, 0] in ideal_finding["witness"][1]
+
+    def test_wlp_equal_exponents_below_five_keep_the_property(self, capsys):
+        # below five variables equal exponents, too, can keep the property
+        # while the modular initial ideal changes; the note must say so and
+        # not call the exponents mixed
+        for argv in (
+            ["wlp", "--n", "3", "--m", "5,5,5", "--p", "2", "--routes", "rank,initideal"],
+            ["wlp", "--n", "4", "--m", "4,4,4,4", "--p", "3", "--routes", "rank,initideal"],
+        ):
+            payload = run_json(argv, capsys, "wlp")
+            assert payload["has_wlp"] is True, argv
+            assert [f["holds"] for f in payload["findings"]] == [True, False], argv
+            assert payload["explanation"] == (
+                "the property holds even though the modular initial ideal differs "
+                "from the rational one; equal initial ideals are sufficient but not "
+                "necessary below five equal exponents"
+            ), argv
 
     def test_wlp_initial_ideal_alone_names_the_regime(self, capsys):
         # equal exponents below five variables: a diverging initial ideal
@@ -814,6 +832,19 @@ class TestVerifyAll:
         monkeypatch.setenv("ACI_GB_THREADS", "many")
         with pytest.raises(ValueError, match="ACI_GB_THREADS"):
             verify_all((1, 2, 1))
+
+    def test_oracle_ideal_that_differs_fails_hilbert(self, monkeypatch):
+        # an oracle that answers for k + 1 brings a second, different ideal,
+        # whose Hilbert function must be counted and found wrong
+        def shifted(n, m, k, cfg):
+            return reduced_gb(n, m, k + 1, kind=cfg.order.kind)
+
+        monkeypatch.setattr(cli_module, "oracle_reduced_gb", shifted)
+        row = cli_module._verify_case((2, (3, 3), 1, False))
+        assert row == {
+            "n": 2, "m": [3, 3], "k": 1,
+            "gb_grevlex": False, "gb_grlex": False, "hilbert": False, "ok": False,
+        }
 
 
 class TestRender:

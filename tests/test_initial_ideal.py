@@ -20,6 +20,7 @@ from acigb.initial_ideal import (
     enumerate_m_free,
     hf_quotient,
     minimal_generators,
+    minimalize_monomials,
     pure_power_removed,
 )
 
@@ -58,9 +59,7 @@ class TestEnumeration:
 
 class TestMonomialIdeal:
     def test_minimalize(self):
-        ideal = MonomialIdeal.from_generators(
-            2, [(2, 0), (2, 1), (0, 3), (1, 2)]
-        )
+        ideal = MonomialIdeal(2, minimalize_monomials([(2, 0), (2, 1), (0, 3), (1, 2)]))
         assert set(ideal.min_gens) == {(2, 0), (0, 3), (1, 2)}
 
     def test_antichain_enforced(self):
@@ -68,7 +67,7 @@ class TestMonomialIdeal:
             MonomialIdeal(2, ((1, 0), (1, 1)))
 
     def test_contains(self):
-        ideal = MonomialIdeal.from_generators(2, [(2, 0), (1, 1)])
+        ideal = MonomialIdeal(2, ((2, 0), (1, 1)))
         assert ideal.contains((2, 1))
         assert not ideal.contains((1, 0))
 
@@ -80,7 +79,7 @@ class TestMonomialIdeal:
                     tuple(rng.randint(0, 4) for _ in range(n))
                     for _ in range(rng.randint(1, 6))
                 ]
-                ideal = MonomialIdeal.from_generators(n, gens)
+                ideal = MonomialIdeal(n, minimalize_monomials(gens))
                 for _ in range(20):
                     # exponents above the largest generator exponent too
                     mono = tuple(rng.randint(0, 7) for _ in range(n))
