@@ -185,10 +185,14 @@ def is_m_free(mono: Mono, m: tuple) -> bool:
     return all(e < mi for e, mi in zip(mono, m))
 
 
-def check_degree_vector(m: Iterable[int]) -> tuple:
+def check_degree_vector(m: Iterable[int], n: int | None = None) -> tuple:
+    """m as a tuple of ints, each at least 2, and of length n when n is
+    given."""
     m = tuple(int(v) for v in m)
     if any(v < 2 for v in m):
         raise ValueError(f"degree vector entries must be >= 2, got {m}")
+    if n is not None and len(m) != n:
+        raise ValueError("degree vector length must equal n")
     return m
 
 
@@ -223,9 +227,7 @@ def _compositions(caps, room, i, rest, suffix):
 
 def enumerate_m_free(n: int, m, d: int) -> list:
     """All m-free monomials of total degree d, sorted descending in grevlex."""
-    m = check_degree_vector(m) if n else tuple(m)
-    if len(m) != n:
-        raise ValueError("degree vector length must equal n")
+    m = check_degree_vector(m, n)
     return list(compositions(d, [mi - 1 for mi in m]))
 
 
@@ -366,9 +368,6 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, mono: Mono):
-        return self.terms.get(tuple(mono), self.field.coerce(0))
-
     def degree(self) -> int:
         """Total degree, -1 for the zero polynomial."""
         return max((sum(m) for m in self.terms), default=-1)
@@ -439,12 +438,6 @@ class SparsePoly:
         return f"SparsePoly({body})"
 
 
-def variable(n: int, i: int, field: Field = QQ) -> SparsePoly:
-    """x_i as a polynomial in n variables (1-based i)."""
-    mono = tuple(1 if j == i - 1 else 0 for j in range(n))
-    return SparsePoly.monomial(n, mono, field)
-
-
 def linear_power(n: int, lo: int, e: int, field: Field = QQ) -> SparsePoly:
     """(x_lo + x_{lo+1} + ... + x_n)**e expanded with multinomials."""
     width = n - lo + 1
@@ -483,17 +476,6 @@ class PackedPoly:
         return not self.terms
 
 
-class LeadTable(list):
-    """``lead_entry`` tuples on the keys of one layout, in the order
-    ``reduce_full`` searches them."""
-
-    __slots__ = ("layout",)
-
-    def __init__(self, layout: PackedLayout, entries):
-        super().__init__(entries)
-        self.layout = layout
-
-
 def lead_entry(h: PackedPoly) -> tuple:
     """The table entry (code, key, lc, tail) of a nonzero h: the leading key
     with its divisibility code and coefficient, and the other terms as
@@ -514,84 +496,43 @@ def lead_entry(h: PackedPoly) -> tuple:
     return h.layout.code(key), key, terms[key], tail
 
 
-def lead_table(reducers, order: TermOrder, layout: PackedLayout | None = None) -> LeadTable:
+def lead_table(reducers, layout: PackedLayout) -> list:
     """``lead_entry`` of every nonzero reducer, in the given order, on the
-    keys of layout, by default the narrowest one that fits every reducer: the
-    table ``reduce_full`` searches."""
-    reducers = [g for g in reducers if not g.is_zero()]
-    if layout is None:
-        layout = PackedLayout(order, max((g.degree() for g in reducers), default=0))
-    return LeadTable(
-        layout,
-        (lead_entry(PackedPoly(layout, g.field, _pack_terms(g, layout)[1])) for g in reducers),
-    )
+    keys of layout, which must fit every reducer: the table ``reduce_full``
+    searches."""
+    return [lead_entry(pack_poly(g, layout)) for g in reducers if not g.is_zero()]
 
 
-def _pack_terms(f: SparsePoly, layout: PackedLayout) -> tuple:
-    """(scale, terms) of f on the keys of layout: over Q the coefficients
-    times scale, the lcm of their denominators, as ints."""
+def pack_poly(f: SparsePoly, layout: PackedLayout) -> PackedPoly:
+    """f on the keys of layout, which must fit it: over Q f times the lcm of
+    its denominators, with int coefficients."""
     pack = layout.pack
     if f.field.p is None:
         scale = math.lcm(*[c.denominator for c in f.terms.values()])
-        return scale, {pack(m): c.numerator * (scale // c.denominator) for m, c in f.terms.items()}
-    return 1, {pack(m): c for m, c in f.terms.items()}
+        terms = {pack(m): c.numerator * (scale // c.denominator) for m, c in f.terms.items()}
+    else:
+        terms = {pack(m): c for m, c in f.terms.items()}
+    return PackedPoly(layout, f.field, terms)
 
 
-def reduce_full(
-    f: SparsePoly | PackedPoly, reducers: list | None, order: TermOrder, table: list | None = None
-) -> SparsePoly | PackedPoly:
-    """Full normal form of f modulo a list of polynomials.
+def reduce_full(f: PackedPoly, table: list) -> PackedPoly:
+    """Full normal form of f modulo the polynomials of a ``lead_table`` on
+    the keys of f's layout, which must fit f; in a graded order no term of
+    the reduction lies above f's degree.
 
     Every term of the result is divisible by no leading monomial of the
-    reducers, so reducing a second time is the identity.  A caller that
-    reduces many polynomials by the same reducers may pass their
-    ``lead_table`` as ``table``; ``reducers`` is then not read.
-
-    A ``PackedPoly`` f reduces by a table on the keys of its own layout,
-    which must fit f (in a graded order no term of the reduction lies above
-    f's degree), and the result is a ``PackedPoly``: over Q the normal form
-    times a positive integer.  A ``SparsePoly`` f is packed with the table,
-    widened to f's degree where needed, and comes back as the exact normal
-    form, a ``SparsePoly``.
+    table, so reducing a second time is the identity.  Over F_p the result
+    is the normal form.  Over Q the work runs on integers: to cancel a term
+    c by an entry with leading coefficient lc, it scales the work and the
+    remainder by lc / gcd(lc, c) when that is not 1, so the result is the
+    normal form times a positive integer.  The first entry whose lead
+    divides the largest term reduces it, and the term c * (q * g_t) of the
+    step has key key(g_t) + key(q * lm) - key(lm).
     """
-    if isinstance(f, PackedPoly):
-        remainder, _ = _reduce(dict(f.terms), table, f.layout, f.field.p)
-        return PackedPoly(f.layout, f.field, remainder)
-    field = f.field
-    if table is None:
-        table = lead_table(reducers, order)
-    layout = table.layout
-    if f.degree() > layout.bound:
-        old, layout = layout, PackedLayout(order, f.degree())
-        table = [
-            lead_entry(PackedPoly(layout, field, {
-                layout.pack(old.unpack(k)): c for k, c in ((key, lc),) + tail
-            }))
-            for _, key, lc, tail in table
-        ]
-    scale, work = _pack_terms(f, layout)
-    remainder, more = _reduce(work, table, layout, field.p)
-    unpack = layout.unpack
-    if field.p is None:
-        scale *= more
-        return SparsePoly(f.n, field, {unpack(k): Fraction(v, scale) for k, v in remainder.items()})
-    return SparsePoly(f.n, field, {unpack(k): v for k, v in remainder.items()})
-
-
-def _reduce(work: dict, table: list, layout: PackedLayout, p: int | None) -> tuple:
-    """(remainder, scale) of the work, a {key: coeff} dict that it consumes:
-    the remainder is scale times the normal form.
-
-    Over Q the work runs on integers: to cancel a term c by an entry with
-    leading coefficient lc, it scales the work and the remainder by
-    lc / gcd(lc, c) when that is not 1.  Over F_p the entries are monic and
-    nothing scales.  The first entry whose lead divides the largest term
-    reduces it, and the term c * (q * g_t) of the step has key
-    key(g_t) + key(q * lm) - key(lm).
-    """
+    layout, p = f.layout, f.field.p
     guard, sign = layout.guard, layout.sign
+    work = dict(f.terms)
     remainder: dict = {}
-    scale = 1
     while work:
         key = max(work)
         c = work.pop(key)
@@ -608,7 +549,6 @@ def _reduce(work: dict, table: list, layout: PackedLayout, p: int | None) -> tup
                 a = lc // d
                 work = {t: v * a for t, v in work.items()}
                 remainder = {t: v * a for t, v in remainder.items()}
-                scale *= a
             c //= d
         shift = key - lead
         for t, v in tail:
@@ -621,7 +561,7 @@ def _reduce(work: dict, table: list, layout: PackedLayout, p: int | None) -> tup
             else:
                 # c * v is nonzero, so t was in the work
                 del work[t]
-    return remainder, scale
+    return PackedPoly(layout, f.field, remainder)
 
 
 def clear_denominators(f: SparsePoly, lead: Mono | None = None) -> SparsePoly:

@@ -611,11 +611,12 @@ def _verify_case(case):
     n, m, k, with_census = case
     row = {"n": n, "m": list(m), "k": k}
     oracle_ideal = None
+    # reduced_gb's kind only sorts the elements, and a fingerprint is a set
+    mine = reduced_gb(n, m, k).fingerprint()
     for kind in ("grevlex", "grlex"):
         order = TermOrder(kind, tuple(range(1, n + 1)))
-        mine = reduced_gb(n, m, k, kind=kind)
         oracle = oracle_reduced_gb(n, m, k, OracleConfig(order))
-        row[f"gb_{kind}"] = mine.fingerprint() == oracle.fingerprint()
+        row[f"gb_{kind}"] = mine == oracle.fingerprint()
         if kind == "grevlex":
             oracle_ideal = oracle.initial_ideal()
     series = truncate_lefschetz(hs_complete_intersection(m), k)

@@ -315,9 +315,7 @@ def reduced_gb(n: int, m, k: int, ranking=None, kind: str = "grevlex") -> Groebn
     variables back.  Each element's leading monomial is the pure power or
     critical monomial s it is built from.
     """
-    m = check_degree_vector(m)
-    if len(m) != n:
-        raise ValueError("degree vector length must equal n")
+    m = check_degree_vector(m, n)
     if ranking is None:
         ranking = tuple(range(1, n + 1))
     if len(ranking) != n:

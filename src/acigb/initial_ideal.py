@@ -125,11 +125,6 @@ class CriticalSets:
         object.__setattr__(self, "by_index", groups)
         object.__setattr__(self, "pure_powers", pure)
 
-    def union(self) -> tuple:
-        """The critical monomials, sorted grevlex-descending."""
-        out = [s for group in self.by_index for s in group]
-        return tuple(sorted(out, key=grevlex(self.n).key, reverse=True))
-
     def generators(self) -> tuple:
         """Every minimal generator, sorted grevlex-descending."""
         out = [s for group in self.by_index for s in group] + list(self.pure_powers)
@@ -139,9 +134,7 @@ class CriticalSets:
 def critical_sets(n: int, m, k: int) -> CriticalSets:
     """Level recursion: a critical monomial with largest variable j is w*x_j^e
     where w avoids the level j-1 ideal and e = k + D_{j-1} - 2*deg(w)."""
-    m = check_degree_vector(m)
-    if len(m) != n:
-        raise ValueError("degree vector length must equal n")
+    m = check_degree_vector(m, n)
     if k < 1:
         raise ValueError("power must be at least 1")
     by_index = []

@@ -38,6 +38,7 @@ from .algebra import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    pack_poly,
     reduce_full,
 )
 from .closed_form import GroebnerBasis, sort_elements
@@ -58,9 +59,7 @@ class OracleConfig:
 def power_sum_generators(n: int, m, k: int, field: Field = QQ) -> list:
     """The defining generators: each pure power and the k-th power of the
     sum of all variables."""
-    m = check_degree_vector(m)
-    if len(m) != n:
-        raise ValueError("degree vector length must equal n")
+    m = check_degree_vector(m, n)
     if k < 1:
         raise ValueError("power must be at least 1")
     gens = []
@@ -110,15 +109,14 @@ def _interreduce(table: list, layout: PackedLayout, field: Field) -> list:
     # reduced depends only on the leads of the others, which never move, so
     # one pass is enough; a tail term lies below its lead, so only the entries
     # before it in ascending order can divide it, and those are reduced already
-    order = layout.order
     for i, (_, key, lc, tail) in enumerate(kept):
         g = PackedPoly(layout, field, dict(((key, lc),) + tail))
-        kept[i] = lead_entry(reduce_full(g, None, order, table=kept[:i]))
+        kept[i] = lead_entry(reduce_full(g, kept[:i]))
     # only now leave the ring and the packed keys: dividing by lc (1 over
     # F_p) makes each monic
     unpack, monic = layout.unpack, Fraction if field.p is None else lambda v, lc: v
     return [
-        (unpack(key), SparsePoly(order.n, field, {
+        (unpack(key), SparsePoly(layout.order.n, field, {
             unpack(t): monic(v, lc) for t, v in ((key, lc),) + tail
         }))
         for _, key, lc, tail in kept
@@ -176,8 +174,7 @@ def buchberger(gens: list, cfg: OracleConfig) -> tuple:
 def _lead_basis(gens: list, cap: int | None, layout: PackedLayout, field: Field) -> list:
     """The lead table of a Groebner basis of (gens): ``buchberger``'s pair
     loop on the keys of layout."""
-    order = layout.order
-    table = lead_table(gens, order, layout)
+    table = lead_table(gens, layout)
     leads: list = []  # leading monomial of each element, as a tuple
     useful: list = []  # indices of the elements new pairs may use
     live: dict = {}  # waiting pair (i, j) -> lcm
@@ -217,7 +214,7 @@ def _lead_basis(gens: list, cap: int | None, layout: PackedLayout, field: Field)
         lcm, i, j = heapq.heappop(heap)
         if live.pop((i, j), None) is None:
             continue
-        h = reduce_full(spoly(table[i], table[j], lcm, layout, field), None, order, table=table)
+        h = reduce_full(spoly(table[i], table[j], lcm, layout, field), table)
         if not h.is_zero():
             entry = lead_entry(h)
             table.append(entry)
@@ -248,17 +245,19 @@ def verify_is_gb(candidate, gens: list, cfg: OracleConfig) -> bool:
     # an S-polynomial lies in degree at most twice the candidate's degree
     top = max(g.degree() for g in elements + gens)
     layout = PackedLayout(order, 2 * max(top, 0))
-    table = lead_table(elements, order, layout)
+    table = lead_table(elements, layout)
     leads = [layout.unpack(entry[1]) for entry in table]
     for (a, la), (b, lb) in itertools.combinations(zip(table, leads), 2):
         s = spoly(a, b, layout.pack(mono_lcm(la, lb)), layout, field)
-        if not reduce_full(s, None, order, table=table).is_zero():
+        if not reduce_full(s, table).is_zero():
             return False
     for g in gens:
-        if not reduce_full(g, None, order, table=table).is_zero():
+        if not reduce_full(pack_poly(g, layout), table).is_zero():
             return False
-    reference = lead_table([g for _, g in buchberger(gens, cfg)], order)
-    return all(reduce_full(f, None, order, table=reference).is_zero() for f in elements)
+    reference = [g for _, g in buchberger(gens, cfg)]
+    layout = PackedLayout(order, max([top, 0] + [g.degree() for g in reference]))
+    table = lead_table(reference, layout)
+    return all(reduce_full(pack_poly(f, layout), table).is_zero() for f in elements)
 
 
 def initial_ideal_oracle(n: int, m, k: int, cfg: OracleConfig | None = None) -> MonomialIdeal:

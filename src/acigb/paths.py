@@ -29,9 +29,7 @@ class ReflectionLine:
 
     @classmethod
     def build(cls, n: int, m, k: int) -> "ReflectionLine":
-        m = check_degree_vector(m)
-        if len(m) != n:
-            raise ValueError("degree vector length must equal n")
+        m = check_degree_vector(m, n)
         if k < 1:
             raise ValueError("power must be at least 1")
         y2 = [-k]

@@ -211,9 +211,7 @@ def n_of_degree(d: int, m_spec, k: int) -> int:
 
 def max_gb_degree(n: int, m, k: int) -> int:
     """Largest degree among basis elements with m-free leading monomial."""
-    m = check_degree_vector(m)
-    if len(m) != n:
-        raise ValueError("degree vector length must equal n")
+    m = check_degree_vector(m, n)
     best = None
     if m:
         for m_q, level in zip(m, _levels(MSpec.finite(m), k)):

@@ -201,9 +201,7 @@ def wlp_decide(n: int, m, p: int, routes=None) -> WlpVerdict:
     leaves the property intact is legitimate outside five or more equal
     exponents and is returned with an explanation instead.
     """
-    mm = check_degree_vector((m,) * n if isinstance(m, int) else m)
-    if len(mm) != n:
-        raise ValueError("degree vector length must equal n")
+    mm = check_degree_vector((m,) * n if isinstance(m, int) else m, n)
     if not is_prime(p):
         raise ValueError("characteristic must be prime")
     equigenerated = len(set(mm)) == 1

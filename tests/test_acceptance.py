@@ -21,7 +21,6 @@ from acigb.closed_form import (
 from acigb.initial_ideal import critical_sets, minimal_generators, pure_power_removed
 from acigb.paths import reflection_bijection_check
 from acigb.sequences import (
-    MSpec,
     catalan_convolution_check_m2,
     convolution_check,
     g3k_sequence,
@@ -99,7 +98,7 @@ def test_criterion_02_golden_critical_sets():
         (1, 0, 1, 2),
         (1, 1, 0, 2),
     }
-    assert set(sets.union()) == expected
+    assert {s for group in sets.by_index for s in group} == expected
     assert pure_power_removed(m, k, 1)
     assert not any(pure_power_removed(m, k, j) for j in (2, 3, 4))
     gens = set(minimal_generators(n, m, k).min_gens)

@@ -14,12 +14,10 @@ from acigb.algebra import (
     binom,
     compositions,
     grevlex,
-    grlex,
     multinomial,
     poly_to_text,
 )
 from acigb.closed_form import (
-    Certificate,
     build_certificate,
     build_gs_divisor_form,
     build_gs_tail_form,
@@ -52,7 +50,7 @@ class TestDivisorForm:
     def test_golden_half_coefficient(self):
         n, m, k = GOLDEN
         g = build_gs_divisor_form((1, 1, 1, 0), 3, m, k, n)
-        assert g.coeff((1, 0, 0, 2)) == Fraction(1, 2)
+        assert g.terms[(1, 0, 0, 2)] == Fraction(1, 2)
         assert poly_to_text(g, grevlex(n)) == (
             "x1*x2*x3 + x1*x2*x4 + x1*x3*x4 + 2*x2*x3*x4"
             " + 1/2*x1*x4^2 + x2*x4^2 + x3*x4^2"
@@ -256,6 +254,13 @@ class TestReducedBasis:
             a = reduced_gb(n, m, k, kind="grevlex")
             b = reduced_gb(n, m, k, kind="grlex")
             assert a.elements == b.elements
+            assert a.fingerprint() == b.fingerprint()
+        # with four mixed exponents the kinds sort the elements apart, and the
+        # marked basis is still the same
+        a = reduced_gb(4, (2, 4, 3, 5), 3, kind="grevlex")
+        b = reduced_gb(4, (2, 4, 3, 5), 3, kind="grlex")
+        assert a.elements != b.elements
+        assert a.fingerprint() == b.fingerprint()
 
     def test_ranking_relabels_variables(self):
         gb = reduced_gb(2, (3, 2), 1, ranking=(2, 1))

@@ -1,5 +1,6 @@
 """The modules of the package import each other without a cycle, none of
-them computes with floats, and the CLI starts without the process pool.
+them computes with floats, no module of the package or the tests imports a
+name it never reads, and the CLI starts without the process pool.
 
 Imports are read from the source with ``ast``, so an import inside a
 function body counts as much as one at module level.
@@ -15,6 +16,7 @@ from pathlib import Path
 import acigb
 
 PACKAGE = Path(acigb.__file__).parent
+TESTS = Path(__file__).parent
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 
 
@@ -98,6 +100,56 @@ def test_package_has_no_floats():
         path.name: sites
         for path in sorted(PACKAGE.glob("*.py"))
         if (sites := float_sites(path.read_text()))
+    }
+    assert found == {}
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by a module-level import that the source never reads, a
+    name listed in ``__all__`` counting as read."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.add(alias.asname or alias.name.split(".")[0])
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "__all__" for target in node.targets
+        ):
+            read.update(elt.value for elt in node.value.elts)
+    return sorted(bound - read)
+
+
+def test_unused_import_reader_sees_every_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path\n"
+        "import json as _json\n"
+        "from math import gcd, lcm\n"
+        "from .algebra import QQ as Q, grevlex\n"
+        "from .paths import reflect\n"
+        "__all__ = ['reflect']\n"
+        "def f(x: Q):\n"
+        "    import sys\n"
+        "    return gcd(x, 2)\n"
+    )
+    assert unused_imports(source) == ["_json", "grevlex", "lcm", "os"]
+
+
+def test_no_unused_imports():
+    found = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+        if (names := unused_imports(path.read_text()))
     }
     assert found == {}
 

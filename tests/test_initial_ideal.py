@@ -135,7 +135,7 @@ class TestCriticalSets:
             (1, 0, 1, 2),
             (1, 1, 0, 2),
         }
-        assert len(crit.union()) == 5
+        assert sum(map(len, crit.by_index)) == 5
 
     def test_golden_minimal_generators(self):
         ideal = minimal_generators(*GOLDEN)
@@ -192,14 +192,14 @@ class TestCriticalSets:
     def test_degenerate_large_power(self):
         # once k reaches past the socle degree nothing is critical
         crit = critical_sets(2, (2, 2), 4)
-        assert crit.union() == ()
+        assert [s for group in crit.by_index for s in group] == []
         ideal = minimal_generators(2, (2, 2), 4)
         assert set(ideal.min_gens) == {(2, 0), (0, 2)}
 
     def test_socle_power_single_critical(self):
         # k equal to the socle degree leaves exactly the socle monomial
         crit = critical_sets(2, (2, 2), 2)
-        assert crit.union() == ((1, 1),)
+        assert [s for group in crit.by_index for s in group] == [(1, 1)]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

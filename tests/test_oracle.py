@@ -467,6 +467,6 @@ class TestSpoly:
         for field, want in ((QQ, {(0, 2): 3, (2, 0): -2}), (Field(7), {(0, 2): 4, (2, 0): 2})):
             f = SparsePoly.from_terms(2, [((2, 0), 2), ((0, 1), 1)], field)
             g = SparsePoly.from_terms(2, [((1, 1), 3), ((1, 0), 1)], field)
-            table = lead_table([f, g], order, layout)
+            table = lead_table([f, g], layout)
             h = spoly(*table, pack((2, 1)), layout, field)
             assert h.terms == {pack(mono): c for mono, c in want.items()}, field

@@ -1,7 +1,5 @@
 """Path encoding, boundary reflection, and the degree pairing."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -10,8 +10,6 @@ import pytest
 from acigb.initial_ideal import critical_sets_paths, hf_quotient, minimal_generators
 from acigb.hilbert import hf, hs_complete_intersection, socle_degrees
 from acigb.sequences import (
-    CatalanTriangle,
-    DegreeSequence,
     MSpec,
     catalan,
     catalan_convolution_check_m2,
