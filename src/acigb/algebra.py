@@ -123,10 +123,6 @@ QQ = Field()
 # monomial helpers
 
 
-def mono_degree(mono: Mono) -> int:
-    return sum(mono)
-
-
 # the helpers below map C-level operators over both tuples, several times
 # faster than a generator over zip
 def mono_mul(a: Mono, b: Mono) -> Mono:
@@ -337,10 +333,10 @@ class SparsePoly:
 
     __slots__ = ("n", "field", "terms")
 
-    def __init__(self, n: int, field: Field, terms: dict | None = None):
+    def __init__(self, n: int, field: Field, terms: dict):
         self.n = n
         self.field = field
-        self.terms = {} if terms is None else terms
+        self.terms = terms
 
     @classmethod
     def zero(cls, n: int, field: Field = QQ) -> "SparsePoly":
@@ -438,18 +434,14 @@ class SparsePoly:
         return f"SparsePoly({body})"
 
 
-def linear_power(n: int, lo: int, e: int, field: Field = QQ) -> SparsePoly:
-    """(x_lo + x_{lo+1} + ... + x_n)**e expanded with multinomials."""
-    width = n - lo + 1
-    if width <= 0:
+def linear_power(n: int, e: int, field: Field = QQ) -> SparsePoly:
+    """(x_1 + ... + x_n)**e expanded with multinomials."""
+    if n <= 0:
         raise ValueError("empty variable range")
-    head, coerce, terms = (0,) * (lo - 1), field.coerce, {}
     # each composition is its own monomial, so nothing merges; a multinomial
     # vanishes in F_p for primes p not exceeding e, and is dropped
-    for comp in compositions(e, (e,) * width):
-        c = coerce(multinomial(e, comp))
-        if c:
-            terms[head + comp] = c
+    coerce, caps = field.coerce, (e,) * n
+    terms = {comp: c for comp in compositions(e, caps) if (c := coerce(multinomial(e, comp)))}
     return SparsePoly(n, field, terms)
 
 

@@ -89,6 +89,10 @@ SEQ_BUDGET = 4_000_000
 # grid's 480; it is checked before the case list is built.
 VERIFY_BUDGET = 10_000
 
+# The most m-free monomials the grid's largest case, (m-max,)*n-max, may have,
+# 16 times the default's 4^4: one case costs about five times more per variable.
+VERIFY_CASE_BUDGET = 4_096
+
 
 # ---------------------------------------------------------------------------
 # argument plumbing
@@ -661,17 +665,28 @@ def verify_all(grid, census: bool = False) -> dict:
     Buchberger oracle in both orders, and the three Hilbert function routes
     against each other. Grid bounds are inclusive; exponents run from 2."""
     n_max, m_max, k_max = grid
-    if _grid_size(n_max, m_max, k_max) > VERIFY_BUDGET:
+    size = _grid_size(n_max, m_max, k_max)
+    if size > VERIFY_BUDGET:
         raise ValueError(
             f"verify grid over the size budget of {VERIFY_BUDGET} cases; "
             "lower --n-max, --m-max or --k-max"
         )
+    # the largest case has m_max^n_max m-free monomials, multiplied up only
+    # until it passes; an empty grid may have a huge n_max, so nothing walks it
+    largest = 1
+    for _ in range(n_max if size else 0):
+        largest *= m_max
+        if largest > VERIFY_CASE_BUDGET:
+            raise ValueError(
+                "verify grid's largest case over the size budget of "
+                f"{VERIFY_CASE_BUDGET} m-free monomials; lower --n-max or --m-max"
+            )
     cases = [
         (n, m, k, census)
         for n in range(1, n_max + 1)
         for m in product(range(2, m_max + 1), repeat=n)
         for k in range(1, k_max + 1)
-    ]
+    ] if size else []
     threads = _thread_count()
     if threads > 1 and len(cases) > 1:
         # imported here: it loads multiprocessing, which no other path needs

@@ -28,7 +28,6 @@ from .algebra import (
     is_m_free,
     linear_power,
     max_index,
-    mono_degree,
     normal_form_pure_powers,
 )
 from .initial_ideal import (
@@ -61,7 +60,7 @@ def _divisor_numerators(s, j: int, m, tail_room: int | None = None):
     tail degree deg(s) - deg(s'') exceeds tail_room are skipped.
     """
     head = s[: j - 1]
-    d = mono_degree(s)
+    d = sum(s)
     factors = [
         [
             factorial(si) // factorial(t) * binom(m[i] - t - 1, si - t)
@@ -132,7 +131,7 @@ def build_gs_tail_form(
     for si in s:
         s_fact *= factorial(si)
     terms: dict = {s: Fraction(1)}
-    for t in enumerate_m_free(n_total, m, mono_degree(s)):
+    for t in enumerate_m_free(n_total, m, sum(s)):
         if key(t) >= s_key:
             continue
         if any(t[i] > s[i] for i in range(j - 1)):
@@ -196,7 +195,7 @@ def build_certificate(s, m, k: int) -> Certificate:
     """
     s = tuple(s)
     n, m_x = _certificate_frame(s, m, k)
-    d = mono_degree(s)
+    d = sum(s)
     u = tuple(m_x[i] - 1 - s[i] for i in range(n - 1))
     f = SparsePoly.zero(n, QQ)
     mu_pairs = []
@@ -212,7 +211,7 @@ def build_certificate(s, m, k: int) -> Certificate:
         if mu == 0:
             continue
         mu_pairs.append((v, mu))
-        f = f.add(linear_power(n, 1, d - dv - k, QQ).mul_term(v + (0,), mu))
+        f = f.add(linear_power(n, d - dv - k, QQ).mul_term(v + (0,), mu))
     return Certificate(
         s=s,
         k=k,
@@ -225,7 +224,7 @@ def build_certificate(s, m, k: int) -> Certificate:
 def verify_certificate(cert: Certificate, m) -> bool:
     """Check g_s == f_s * ell^k modulo the pure powers on x_1..x_{n-1}."""
     n, m_x = _certificate_frame(cert.s, m, cert.k)
-    product = cert.f_s.mul(linear_power(n, 1, cert.k, QQ))
+    product = cert.f_s.mul(linear_power(n, cert.k, QQ))
     # g_s with a single stand-in variable y for the trailing block, which no
     # pure power reduces
     g_s = SparsePoly.from_terms(
@@ -303,7 +302,7 @@ def sort_elements(pairs: list, order: TermOrder) -> tuple:
     """(leads, elements) of (leading monomial, element) pairs, in ascending
     degree and, within a degree, the higher leading monomial first."""
     ranked = sorted(pairs, key=lambda p: order.key(p[0]), reverse=True)
-    ranked.sort(key=lambda p: mono_degree(p[0]))
+    ranked.sort(key=lambda p: sum(p[0]))
     return tuple(p[0] for p in ranked), tuple(p[1] for p in ranked)
 
 

@@ -213,11 +213,6 @@ def critical_sets_formula(n: int, m, k: int) -> CriticalSets:
     return CriticalSets(n, m, k, by_index)
 
 
-def _pivot_slope(heights, line, i: int) -> int:
-    # Slope of the edge from vertex i - 1 into the reflection of vertex i.
-    return line.y2[i] - heights[i] - heights[i - 1]
-
-
 def critical_sets_paths(n: int, m, k: int) -> CriticalSets:
     """Geometric route: the reflected edge into the last used variable drops
     as steeply as admissibility allows, and no earlier vertex reflects to an
@@ -245,7 +240,7 @@ def critical_sets_paths(n: int, m, k: int) -> CriticalSets:
         i = len(prefix) + 1
         for e in range(m[i - 1]):
             path = heights + (heights[-1] + 1 - e,)
-            slope = _pivot_slope(path, line, i)
+            slope = _paths.pivot_slope(path, line, i)
             if 2 - m[i - 1] <= slope <= 1:
                 if e and slope == 2 - m[i - 1]:
                     by_index[i - 1].append(prefix + (e,) + (0,) * (n - i))

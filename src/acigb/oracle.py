@@ -66,7 +66,7 @@ def power_sum_generators(n: int, m, k: int, field: Field = QQ) -> list:
     for i in range(n):
         mono = tuple(m[i] if t == i else 0 for t in range(n))
         gens.append(SparsePoly.monomial(n, mono, field))
-    gens.append(linear_power(n, 1, k, field))
+    gens.append(linear_power(n, k, field))
     return gens
 
 
@@ -269,17 +269,18 @@ def initial_ideal_oracle(n: int, m, k: int, cfg: OracleConfig | None = None) -> 
 
 
 def gaussian_rank(rows: list, p: int) -> int:
-    """Rank of an integer matrix over F_p, the input left untouched.
+    """Rank over F_p of the matrix whose rows are ``{column: integer entry}``
+    dicts, the input left untouched.
 
-    Each row becomes a sparse ``{column: entry mod p}`` dict and is reduced
-    by the pivot rows kept so far, each monic in its leading column, here
-    its last nonzero one; a row that survives becomes a pivot row.  For a
-    multiplication map with grevlex-descending columns most rows then lead
-    in distinct columns and need no reduction at all."""
+    Each row is copied mod p, zeros dropped, and reduced by the pivot rows
+    kept so far, each monic in its leading column, here its last nonzero
+    one; a row that survives becomes a pivot row.  For a multiplication map
+    with grevlex-descending columns most rows then lead in distinct columns
+    and need no reduction at all."""
     Field(p)
     pivots = {}  # leading column -> monic pivot row
-    for dense in rows:
-        row = {j: v for j, x in enumerate(dense) if (v := x % p)}
+    for given in rows:
+        row = {j: v for j, x in given.items() if (v := x % p)}
         while row:
             lead = max(row)
             pivot = pivots.get(lead)
@@ -307,18 +308,12 @@ def multiplication_rank(n: int, m, p: int, d: int, e: int = 1) -> int:
     m = check_degree_vector(m)
     field = Field(p)
     source = enumerate_m_free(n, m, d)
-    target = enumerate_m_free(n, m, d + e)
-    if not source or not target:
+    col = {mono: idx for idx, mono in enumerate(enumerate_m_free(n, m, d + e))}
+    # ell^e has about e^(n-1) terms whatever the degrees: build it only for a
+    # map with a source and a target
+    if not source or not col:
         return 0
-    col = {mono: idx for idx, mono in enumerate(target)}
-    ell = linear_power(n, 1, e, field).terms.items()
-    rows = []
-    for u in source:
-        row = [0] * len(target)
-        # each term of ell^e lands on its own monomial
-        for comp, c in ell:
-            idx = col.get(mono_mul(u, comp))
-            if idx is not None:
-                row[idx] = c
-        rows.append(row)
+    # each term of ell^e lands on its own monomial, its coefficient nonzero mod p
+    ell = linear_power(n, e, field).terms.items()
+    rows = [{col[t]: c for comp, c in ell if (t := mono_mul(u, comp)) in col} for u in source]
     return gaussian_rank(rows, p)

@@ -75,6 +75,11 @@ def reflect_suffix(heights: Heights, line: ReflectionLine, i: int) -> Heights:
     )
 
 
+def pivot_slope(heights: Heights, line: ReflectionLine, i: int) -> int:
+    """Slope of the edge from vertex i - 1 into the reflection of vertex i."""
+    return line.y2[i] - heights[i] - heights[i - 1]
+
+
 def reflection_start(heights: Heights, line: ReflectionLine):
     """Largest i such that reflecting vertices i..n keeps the path admissible.
 
@@ -84,11 +89,8 @@ def reflection_start(heights: Heights, line: ReflectionLine):
     reflected start (0, -k) can never begin an admissible path for k >= 1.
     Returns None when no index works (the path is not critical).
     """
-    m = line.m
     for i in range(line.n, 0, -1):
-        pivot = line.y2[i] - heights[i]
-        slope = pivot - heights[i - 1]
-        if 2 - m[i - 1] <= slope <= 1:
+        if 2 - line.m[i - 1] <= pivot_slope(heights, line, i) <= 1:
             return i
     return None
 

@@ -797,10 +797,36 @@ class TestExitCodes:
             assert (code, out) == (1, ""), argv
             assert err.startswith("error:") and err.count("\n") == 1
             assert err.endswith("budget of 10000 cases; lower --n-max, --m-max or --k-max\n")
-        # a grid of exactly the budget goes on to build its cases
+        # a grid of exactly the budget goes on to build its cases; the bound
+        # on its largest case is raised out of the way, as it would refuse
+        # these first
+        monkeypatch.setattr(cli_module, "VERIFY_CASE_BUDGET", 2**budget)
         for n_max, m_max, k_max in ((budget, 2, 1), (1, budget + 1, 1), (budget // 2, 2, 2)):
             argv = ["verify", "--n-max", str(n_max), "--m-max", str(m_max),
                     "--k-max", str(k_max)]
+            code, _, err = invoke(argv, capsys)
+            assert code == 1 and "computation reached" in err, argv
+
+    def test_verify_refuses_a_grid_whose_largest_case_is_over_budget(self, capsys, monkeypatch):
+        # few cases, but (2,)*n costs about five times more per variable;
+        # the refusal comes before the case list is built
+        def reached(*args, **kwargs):
+            raise ValueError("computation reached")
+
+        monkeypatch.setattr(cli_module, "product", reached)
+        for n_max, m_max in ((20, 2), (10_000, 2), (13, 2), (5, 6), (2, 65)):
+            argv = ["verify", "--n-max", str(n_max), "--m-max", str(m_max), "--k-max", "1"]
+            start = time.perf_counter()
+            code, out, err = invoke(argv, capsys)
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert err.endswith(
+                "budget of 4096 m-free monomials; lower --n-max or --m-max\n"
+            )
+        # a largest case of exactly the budget goes on to build its cases
+        for n_max, m_max in ((12, 2), (6, 4), (4, 8), (2, 64)):
+            argv = ["verify", "--n-max", str(n_max), "--m-max", str(m_max), "--k-max", "1"]
             code, _, err = invoke(argv, capsys)
             assert code == 1 and "computation reached" in err, argv
 
@@ -810,6 +836,14 @@ class TestExitCodes:
         )
         assert code == 0
         assert out == "passed 0 of 0\n"
+        # an empty grid with a huge n-max walks none of its n
+        for flags in (["--m-max", "1"], ["--k-max", "0"]):
+            start = time.perf_counter()
+            code, out, _ = invoke(
+                ["verify", "--n-max", str(10**18), *flags, "--format", "text"], capsys
+            )
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (0, "passed 0 of 0\n"), flags
 
 
 class TestVerifyAll:

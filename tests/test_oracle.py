@@ -1,6 +1,7 @@
 """Buchberger oracle and modular rank tests."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from acigb.algebra import (
     PackedLayout,
     SparsePoly,
     TermOrder,
+    enumerate_m_free,
     grevlex,
     grlex,
     lead_table,
@@ -101,7 +103,9 @@ class TestBuchberger:
         ):
             cfg = OracleConfig(order=order)
             gens = power_sum_generators(n, m, k)
-            gens.append(linear_power(n, 2, 2))
+            # (x2 + ... + xn)^2
+            tail = linear_power(n - 1, 2).terms.items()
+            gens.append(SparsePoly(n, QQ, {(0,) + t: c for t, c in tail}))
             want = set(buchberger(gens, cfg))
             for shift in range(1, len(gens)):
                 rotated = gens[shift:] + gens[:shift]
@@ -360,6 +364,11 @@ class TestMultiplicationRank:
     def test_beyond_socle_rank_zero(self):
         assert multiplication_rank(5, self.M5, 5, 6, 1) == 0
         assert multiplication_rank(5, self.M5, 5, 9, 1) == 0
+        # with no source or no target, ell^e (about e^(n-1) terms) is never
+        # built, and no variables at all is no error
+        assert multiplication_rank(3, (3, 3, 3), 5, 0, 10**6) == 0
+        assert multiplication_rank(3, (3, 3, 3), 5, -(10**6), 10**6 + 3) == 0
+        assert multiplication_rank(0, (), 5, 0, 1) == 0
 
     def test_char_two_deficient(self):
         assert [multiplication_rank(5, self.M5, 2, d, 1) for d in range(6)] == [
@@ -404,15 +413,30 @@ def span_rank(rows, p):
     return rank
 
 
+def sparse(dense):
+    """The {column: entry} rows gaussian_rank takes, from dense integer rows;
+    entries that vanish only mod p stay in."""
+    return [{j: x for j, x in enumerate(row) if x} for row in dense]
+
+
+def multinomial_entry(u, t, e):
+    """Coefficient of x^t in x^u (x_1 + ... + x_n)^e, t of degree deg u + e."""
+    diff = [a - b for a, b in zip(t, u)]
+    if min(diff) < 0:
+        return 0
+    return math.factorial(e) // math.prod(map(math.factorial, diff))
+
+
 class TestGaussianRank:
     def test_matches_span_size_on_random_matrices(self):
         rng = random.Random(1)
         for _ in range(600):
             p = rng.choice((2, 3, 5))
             shape = (rng.randint(1, 4), rng.randint(1, 5))
-            rows = [[rng.randint(-7, 7) for _ in range(shape[1])] for _ in range(shape[0])]
-            before = [list(row) for row in rows]
-            assert gaussian_rank(rows, p) == span_rank(rows, p), (rows, p)
+            dense = [[rng.randint(-7, 7) for _ in range(shape[1])] for _ in range(shape[0])]
+            rows = sparse(dense)
+            before = [dict(row) for row in rows]
+            assert gaussian_rank(rows, p) == span_rank(dense, p), (dense, p)
             assert rows == before
 
     def test_rank_of_transpose_on_larger_matrices(self):
@@ -425,35 +449,54 @@ class TestGaussianRank:
             left = [[rng.randint(-p, p) for _ in range(k)] for _ in range(r)]
             right = [[rng.choice((0, 0, rng.randint(-p, p))) for _ in range(c)] for _ in range(k)]
             # entries in -p..p, with both signs for the same residue
-            rows = [
+            dense = [
                 [sum(a * b for a, b in zip(row, col)) % p - p * rng.randint(0, 1)
                  for col in zip(*right)]
                 for row in left
             ]
-            before = [list(row) for row in rows]
+            rows = sparse(dense)
+            before = [dict(row) for row in rows]
             rank = gaussian_rank(rows, p)
             assert rows == before
             assert rank <= min(r, c, k)
-            assert gaussian_rank([list(col) for col in zip(*rows)], p) == rank, (rows, p)
+            assert gaussian_rank(sparse(zip(*dense)), p) == rank, (dense, p)
             perm = list(range(c))
             rng.shuffle(perm)
-            shuffled = [[row[j] for j in perm] for row in rows]
-            assert gaussian_rank(shuffled, p) == rank, (rows, p)
+            shuffled = [[row[j] for j in perm] for row in dense]
+            assert gaussian_rank(sparse(shuffled), p) == rank, (dense, p)
             # a zero row and a zero column add nothing
-            assert gaussian_rank(rows + [[0] * c], p) == rank
-            assert gaussian_rank([row + [p * rng.randint(-1, 1)] for row in rows], p) == rank
+            assert gaussian_rank(sparse(dense + [[0] * c]), p) == rank
+            padded = [row + [p * rng.randint(-1, 1)] for row in dense]
+            assert gaussian_rank(sparse(padded), p) == rank
         for p in (2, 32003):
-            assert gaussian_rank([[0] * 30 for _ in range(25)], p) == 0
-            assert gaussian_rank([[p, -p, 2 * p]], p) == 0
+            assert gaussian_rank(sparse([[0] * 30 for _ in range(25)]), p) == 0
+            assert gaussian_rank(sparse([[p, -p, 2 * p]]), p) == 0
 
     def test_empty_matrices(self):
-        assert gaussian_rank([], 3) == 0
-        assert gaussian_rank([[], []], 3) == 0
+        assert gaussian_rank(sparse([]), 3) == 0
+        assert gaussian_rank(sparse([[], []]), 3) == 0
 
     def test_rejects_composite_modulus(self):
         for p in (1, 4, 6, 9):
             with pytest.raises(ValueError, match="not prime"):
-                gaussian_rank([[1, 0], [0, 1]], p)
+                gaussian_rank(sparse([[1, 0], [0, 1]]), p)
+
+    def test_multiplication_rank_matches_a_dense_build(self):
+        # the map built densely here, without linear_power or a column map
+        for n, m, p in (((3, (3, 3, 3), 5), (4, (2, 3, 2, 4), 3),
+                         (2, (4, 5), 2), (5, (2,) * 5, 2))):
+            top = sum(mi - 1 for mi in m)
+            for e in (1, 2, 3):
+                # d = -1 has no source monomial, and from top - e + 1 on the
+                # target lies beyond the socle
+                for d in range(-1, top + 1):
+                    target = enumerate_m_free(n, m, d + e)
+                    dense = [
+                        [multinomial_entry(u, t, e) for t in target]
+                        for u in enumerate_m_free(n, m, d)
+                    ]
+                    want = gaussian_rank(sparse(dense), p)
+                    assert multiplication_rank(n, m, p, d, e) == want, (n, m, p, d, e)
 
 
 class TestSpoly:
