@@ -192,6 +192,12 @@ def check_degree_vector(m: Iterable[int], n: int | None = None) -> tuple:
     return m
 
 
+def check_power(k: int) -> None:
+    """Refuse a power of the variable sum below 1."""
+    if k < 1:
+        raise ValueError("power must be at least 1")
+
+
 def compositions(total: int, caps) -> Iterator[tuple]:
     """Weak compositions of total with part i at most caps[i].
 
@@ -367,10 +373,6 @@ class SparsePoly:
     def degree(self) -> int:
         """Total degree, -1 for the zero polynomial."""
         return max((sum(m) for m in self.terms), default=-1)
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
 
     def leading_term(self, order: TermOrder):
         """(monomial, coefficient) maximal under the order; None if zero."""

@@ -43,12 +43,13 @@ from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from .algebra import (
     TermOrder,
     check_degree_vector,
+    check_power,
     coeff_to_str,
     mono_to_text,
     poly_to_json,
@@ -91,7 +92,12 @@ VERIFY_BUDGET = 10_000
 
 # The most m-free monomials the grid's largest case, (m-max,)*n-max, may have,
 # 16 times the default's 4^4: one case costs about five times more per variable.
+# ``rank`` and ``wlp`` refuse a larger quotient too.
 VERIFY_CASE_BUDGET = 4_096
+
+# The most rankings one ``verify --census`` may walk, about twice the default
+# grid's 8,508: the census of a case builds one basis per ranking, n! of them.
+CENSUS_BUDGET = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +409,7 @@ def _scan_size(mspec: MSpec, k: int, d_max: int) -> int:
     (D + k + 1) / 2; the scan stops at the first level that starts above
     d_max.  A finite prefix ends the count where it runs out.
     """
-    if k < 1:
-        raise ValueError("power must be at least 1")
+    check_power(k)
 
     def exponents():
         D, n = 0, 1
@@ -531,7 +536,21 @@ def _cmd_seq(ns: argparse.Namespace) -> tuple:
     return " ".join(str(v) for _, v in payload["values"]) + "\n", True
 
 
+def _check_m_free(m, what: str, flags: str) -> None:
+    """Refuse an R/(x^m) of more than VERIFY_CASE_BUDGET m-free monomials,
+    the product of the exponents, multiplied up only until it passes."""
+    count = 1
+    for m_i in m:
+        count *= m_i
+        if count > VERIFY_CASE_BUDGET:
+            raise ValueError(
+                f"{what} over the size budget of {VERIFY_CASE_BUDGET} m-free "
+                f"monomials; lower {flags}"
+            )
+
+
 def _cmd_wlp(ns: argparse.Namespace) -> tuple:
+    _check_m_free(ns.m, "wlp request", "--n or --m")
     verdict = wlp_decide(ns.n, ns.m, ns.p, routes=ns.routes)
     if ns.format == "json":
         return _dumps(
@@ -568,6 +587,7 @@ def _cmd_wlp(ns: argparse.Namespace) -> tuple:
 
 
 def _cmd_rank(ns: argparse.Namespace) -> tuple:
+    _check_m_free(ns.m, "rank request", "--n or --m")
     series = hs_complete_intersection(ns.m)
     expected = min(hf(series, ns.d), hf(series, ns.d + ns.e))
     rank = multiplication_rank(ns.n, ns.m, ns.p, ns.d, e=ns.e)
@@ -647,17 +667,20 @@ def _thread_count() -> int:
     return max(1, min(wanted, os.cpu_count() or 1))
 
 
-def _grid_size(n_max: int, m_max: int, k_max: int) -> int:
-    """Cases of the verify grid, k_max * sum of (m_max - 1)^n over
-    n = 1..n_max, in closed form.  With m_max > 2 the count is exact only up
-    to n = VERIFY_BUDGET.bit_length(), where it has passed the budget."""
-    r = m_max - 1
-    if min(n_max, r, k_max) < 1:
+def _grid_count(n_max: int, m_max: int, k_max: int, census: bool = False) -> int:
+    """Cases of the verify grid, k_max times the sum of (m_max - 1)^n over
+    n = 1..n_max, or with census the rankings its census walks, each term
+    times n!; summed only until it passes VERIFY_BUDGET or CENSUS_BUDGET."""
+    r, budget = m_max - 1, CENSUS_BUDGET if census else VERIFY_BUDGET
+    if min(r, k_max) < 1:
         return 0
-    if r == 1:
-        return k_max * n_max
-    n = min(n_max, VERIFY_BUDGET.bit_length())
-    return k_max * r * (r**n - 1) // (r - 1)
+    total, term = 0, k_max
+    for n in range(1, n_max + 1):
+        term *= r * n if census else r
+        total += term
+        if total > budget:
+            break
+    return total
 
 
 def verify_all(grid, census: bool = False) -> dict:
@@ -665,22 +688,20 @@ def verify_all(grid, census: bool = False) -> dict:
     Buchberger oracle in both orders, and the three Hilbert function routes
     against each other. Grid bounds are inclusive; exponents run from 2."""
     n_max, m_max, k_max = grid
-    size = _grid_size(n_max, m_max, k_max)
+    size = _grid_count(n_max, m_max, k_max)
     if size > VERIFY_BUDGET:
         raise ValueError(
             f"verify grid over the size budget of {VERIFY_BUDGET} cases; "
             "lower --n-max, --m-max or --k-max"
         )
-    # the largest case has m_max^n_max m-free monomials, multiplied up only
-    # until it passes; an empty grid may have a huge n_max, so nothing walks it
-    largest = 1
-    for _ in range(n_max if size else 0):
-        largest *= m_max
-        if largest > VERIFY_CASE_BUDGET:
-            raise ValueError(
-                "verify grid's largest case over the size budget of "
-                f"{VERIFY_CASE_BUDGET} m-free monomials; lower --n-max or --m-max"
-            )
+    # an empty grid may have a huge n_max, so nothing walks it
+    if size:
+        _check_m_free(repeat(m_max, n_max), "verify grid's largest case", "--n-max or --m-max")
+    if census and _grid_count(n_max, m_max, k_max, census) > CENSUS_BUDGET:
+        raise ValueError(
+            f"verify census over the size budget of {CENSUS_BUDGET} rankings; "
+            "lower --n-max, --m-max or --k-max"
+        )
     cases = [
         (n, m, k, census)
         for n in range(1, n_max + 1)

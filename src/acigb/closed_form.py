@@ -22,6 +22,7 @@ from .algebra import (
     TermOrder,
     binom,
     check_degree_vector,
+    check_power,
     compositions,
     enumerate_m_free,
     grevlex,
@@ -172,8 +173,7 @@ def _certificate_frame(s, m, k: int):
     n = len(s)
     if len(m) != n:
         raise ValueError("degree vector length must match the monomial")
-    if k < 1:
-        raise ValueError("power must be at least 1")
+    check_power(k)
     if s[n - 1] <= 0:
         raise ValueError("last variable must divide the monomial")
     m_x = tuple(m[: n - 1])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 
-from .algebra import check_degree_vector
+from .algebra import check_degree_vector, check_power
 
 Series = tuple
 
@@ -41,8 +41,7 @@ def hf(series: Series, d: int) -> int:
 
 def truncate_lefschetz(series: Series, k: int) -> Series:
     """Multiply by (1 - t^k) and cut at the first non-positive coefficient."""
-    if k < 1:
-        raise ValueError("power must be at least 1")
+    check_power(k)
     out = []
     for d in range(len(series)):
         c = series[d] - hf(series, d - k)
@@ -83,8 +82,7 @@ class TypeInfo:
 def type_classify(m_prefix, k: int) -> TypeInfo:
     """Classify the next index after the given prefix (empty prefix allowed)."""
     m_prefix = tuple(m_prefix)
-    if k < 1:
-        raise ValueError("power must be at least 1")
+    check_power(k)
     if not m_prefix:
         return TypeInfo(0, 0, True)
     check_degree_vector(m_prefix)
@@ -127,6 +125,5 @@ def socle_degrees(m_prefix, k: int) -> tuple:
     if not m_prefix:
         return 0, 0
     check_degree_vector(m_prefix)
-    if k < 1:
-        raise ValueError("power must be at least 1")
+    check_power(k)
     return series_socle(hs_complete_intersection(m_prefix), max(m_prefix), k, m_prefix)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .algebra import (
     check_degree_vector,
+    check_power,
     compositions,
     enumerate_m_free,
     grevlex,
@@ -135,8 +136,7 @@ def critical_sets(n: int, m, k: int) -> CriticalSets:
     """Level recursion: a critical monomial with largest variable j is w*x_j^e
     where w avoids the level j-1 ideal and e = k + D_{j-1} - 2*deg(w)."""
     m = check_degree_vector(m, n)
-    if k < 1:
-        raise ValueError("power must be at least 1")
+    check_power(k)
     by_index = []
     # Minimal generators at the current prefix length, packed with the first
     # variable lowest, so padding a generator with a zero exponent keeps its

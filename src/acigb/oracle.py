@@ -3,8 +3,7 @@
 Nothing here knows about lattice paths or closed-form coefficients: bases
 are computed from the raw generators by S-polynomial reduction, so agreement
 with the constructive modules is a genuine cross-check rather than a
-tautology.  Works over the rationals or a prime field, with an optional
-degree cap that is sound for homogeneous inputs.
+tautology.  Works over the rationals or a prime field.
 
 The reductions run on the packed keys of ``algebra.PackedLayout``, one int
 per monomial whose integer order is the term order: the lead tables, the
@@ -30,6 +29,7 @@ from .algebra import (
     SparsePoly,
     TermOrder,
     check_degree_vector,
+    check_power,
     enumerate_m_free,
     grevlex,
     lead_entry,
@@ -49,7 +49,6 @@ from .initial_ideal import MonomialIdeal
 class OracleConfig:
     order: TermOrder
     p: int | None = None
-    degree_cap: int | None = None
 
     @property
     def field(self) -> Field:
@@ -60,8 +59,7 @@ def power_sum_generators(n: int, m, k: int, field: Field = QQ) -> list:
     """The defining generators: each pure power and the k-th power of the
     sum of all variables."""
     m = check_degree_vector(m, n)
-    if k < 1:
-        raise ValueError("power must be at least 1")
+    check_power(k)
     gens = []
     for i in range(n):
         mono = tuple(m[i] if t == i else 0 for t in range(n))
@@ -127,12 +125,10 @@ class _Overflow(Exception):
     """An S-pair's lcm of degree args[0] lies above the layout's bound."""
 
 
-def _start_bound(gens: list, cap: int | None) -> int:
+def _start_bound(gens: list) -> int:
     """Exponent bound of the first layout a run packs in: the sum of the
-    generator degrees, or under a cap the cap or the largest generator degree,
-    whichever is larger."""
-    degrees = [g.degree() for g in gens if not g.is_zero()]
-    return sum(degrees) if cap is None else max([cap] + degrees)
+    generator degrees."""
+    return sum(g.degree() for g in gens if not g.is_zero())
 
 
 def buchberger(gens: list, cfg: OracleConfig) -> tuple:
@@ -147,31 +143,25 @@ def buchberger(gens: list, cfg: OracleConfig) -> tuple:
     wait in a heap of (packed lcm, i, j), i > j, and one that left ``live``
     is skipped when popped.  The pair with the smallest lcm in the order
     comes next and ties go to the lower indices; the reduced basis is unique,
-    so the tie-break never shows in the result.  A degree cap drops the pairs
-    above it when they are made, which loses nothing below the cap when all
-    inputs are homogeneous; on other inputs a cap is refused.
+    so the tie-break never shows in the result.
 
     The pair criteria run on exponent tuples, the reductions on the keys of
     one ``PackedLayout``.  Its bound (``_start_bound``) must hold every term
     of a reduction, and in a graded order none lies above the S-pair's lcm:
-    under a cap the bound covers every pair that is kept, and without one a
-    pair whose lcm does not fit restarts the run on a wider layout.
+    a pair whose lcm does not fit restarts the run on a wider layout.
     """
-    cap = cfg.degree_cap
-    if cap is not None and not all(g.is_homogeneous() for g in gens):
-        raise ValueError("a degree cap needs homogeneous generators")
     field = cfg.field
-    layout = PackedLayout(cfg.order, _start_bound(gens, cap))
+    layout = PackedLayout(cfg.order, _start_bound(gens))
     while True:
         try:
-            table = _lead_basis(gens, cap, layout, field)
+            table = _lead_basis(gens, layout, field)
         except _Overflow as err:
             layout = PackedLayout(cfg.order, max(2 * layout.bound, err.args[0]))
         else:
             return tuple(_interreduce(table, layout, field))
 
 
-def _lead_basis(gens: list, cap: int | None, layout: PackedLayout, field: Field) -> list:
+def _lead_basis(gens: list, layout: PackedLayout, field: Field) -> list:
     """The lead table of a Groebner basis of (gens): ``buchberger``'s pair
     loop on the keys of layout."""
     table = lead_table(gens, layout)
@@ -179,7 +169,6 @@ def _lead_basis(gens: list, cap: int | None, layout: PackedLayout, field: Field)
     useful: list = []  # indices of the elements new pairs may use
     live: dict = {}  # waiting pair (i, j) -> lcm
     heap: list = []
-    limit = layout.bound if cap is None else cap
 
     def update(lt):
         t = len(leads)
@@ -199,10 +188,8 @@ def _lead_basis(gens: list, cap: int | None, layout: PackedLayout, field: Field)
                 del live[pair]
         for lcm, s in new.items():
             if s is not None and not any(o != lcm and mono_divides(o, lcm) for o in new):
-                if sum(lcm) > limit:
-                    if cap is None:
-                        raise _Overflow(sum(lcm))
-                    continue  # above the cap: never reduced
+                if sum(lcm) > layout.bound:
+                    raise _Overflow(sum(lcm))
                 live[t, s] = lcm
                 heapq.heappush(heap, (layout.pack(lcm), t, s))
         useful[:] = [s for s in useful if not mono_divides(lt, leads[s])] + [t]

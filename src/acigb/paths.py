@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import check_degree_vector, enumerate_m_free
+from .algebra import check_degree_vector, check_power, enumerate_m_free
 
 Heights = tuple  # vertex heights b_0..b_n, b_0 = 0, plain integers
 
@@ -30,8 +30,7 @@ class ReflectionLine:
     @classmethod
     def build(cls, n: int, m, k: int) -> "ReflectionLine":
         m = check_degree_vector(m, n)
-        if k < 1:
-            raise ValueError("power must be at least 1")
+        check_power(k)
         y2 = [-k]
         for mi in m:
             y2.append(y2[-1] + 3 - mi)

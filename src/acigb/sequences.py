@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .algebra import check_degree_vector
+from .algebra import check_degree_vector, check_power
 from .hilbert import (
     TypeInfo,
     extend_series,
@@ -120,8 +120,7 @@ def _levels(spec: MSpec, k: int):
     n = 1, 2, ...: each step multiplies the series by one more factor, and
     reads that exponent only when the caller asks for the next level, so a
     finite prefix runs out exactly where a scan needs more of it."""
-    if k < 1:
-        raise ValueError("power must be at least 1")
+    check_power(k)
     series, sigma, prefix = (1,), 0, []
     while True:
         yield series_socle(series, sigma, k, prefix) + (series,)
@@ -269,8 +268,7 @@ def convolve(a, b) -> tuple:
 def _convolution_check(m: int, k: int, n_max: int, factors) -> bool:
     """g(k + n) for n <= n_max and constant exponent m against the product
     of the classical rows named in factors."""
-    if k < 1:
-        raise ValueError("power must be at least 1")
+    check_power(k)
     target = (1,) + (0,) * n_max
     for family in factors:
         target = convolve(target, classical_row(family, n_max))

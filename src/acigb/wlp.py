@@ -144,12 +144,7 @@ def _run_rank(n: int, m: tuple, p: int) -> RouteFinding:
 
 def _run_initial_ideal(n: int, m: tuple, p: int) -> RouteFinding:
     order = grevlex(n)
-    top = sum(mi - 1 for mi in m)
-    # every monomial of degree top+1 exceeds some m_i, so the modular
-    # initial ideal is generated in degrees <= top+1 and capping there
-    # loses nothing
-    cfg = OracleConfig(order=order, p=p, degree_cap=top + 1)
-    modular = set(initial_ideal_oracle(n, m, 1, cfg).min_gens)
+    modular = set(initial_ideal_oracle(n, m, 1, OracleConfig(order, p)).min_gens)
     rational = set(minimal_generators(n, m, 1).min_gens)
     if modular == rational:
         return RouteFinding("initial-ideal", True, None)

@@ -78,8 +78,8 @@ def test_closed_form_pairs_replay(capsys):
 
 def test_wlp_modp_jobs_replay(capsys):
     """Every ``wlp-modp`` job, run through ``cli.main``, writes the bytes the
-    catalogue pins: the degree-capped oracle over F_p and the modular
-    elimination, checked byte for byte."""
+    catalogue pins: the oracle over F_p and the modular elimination, checked
+    byte for byte."""
     jobs = json.loads(CATALOGUE.read_text())["wlp-modp"]["jobs"]
     assert len(jobs) == 10
     for job in jobs:

@@ -830,6 +830,72 @@ class TestExitCodes:
             code, _, err = invoke(argv, capsys)
             assert code == 1 and "computation reached" in err, argv
 
+    def test_verify_refuses_a_census_over_budget(self, capsys, monkeypatch):
+        # the census of a case builds n! bases, so 12,2,1 walks 4.8e8
+        # rankings; the refusal comes before any case is checked
+        def reached(*args, **kwargs):
+            raise ValueError("computation reached")
+
+        monkeypatch.setattr(cli_module, "_verify_case", reached)
+        for grid in ((12, 2, 1), (4, 4, 10), (5, 3, 5), (8, 2, 1)):
+            argv = ["verify", "--n-max", str(grid[0]), "--m-max", str(grid[1]),
+                    "--k-max", str(grid[2]), "--census"]
+            start = time.perf_counter()
+            code, out, err = invoke(argv, capsys)
+            assert time.perf_counter() - start < 1.0
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert err.endswith(
+                "budget of 20000 rankings; lower --n-max, --m-max or --k-max\n"
+            )
+        # the same grids without the census, and the default census grid,
+        # the largest below the budget and those of the tests, are checked
+        monkeypatch.setattr(cli_module, "_verify_case", lambda case: {"ok": True})
+        monkeypatch.delenv("ACI_GB_THREADS", raising=False)  # a lambda does not pickle
+        for grid, census in (((12, 2, 1), False), ((4, 4, 10), False), ((4, 4, 4), True),
+                             ((4, 4, 9), True), ((2, 3, 2), True), ((3, 4, 2), True)):
+            report = verify_all(grid, census=census)
+            assert report["ok"] and report["passed"] == cli_module._grid_count(*grid)
+        # the default census grid walks 8,508 rankings: a budget of exactly
+        # that accepts it, one less refuses it
+        monkeypatch.setattr(cli_module, "CENSUS_BUDGET", 8_508)
+        assert verify_all((4, 4, 4), census=True)["ok"]
+        monkeypatch.setattr(cli_module, "CENSUS_BUDGET", 8_507)
+        with pytest.raises(ValueError, match="budget of 8507 rankings"):
+            verify_all((4, 4, 4), census=True)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rank", "--n", "40", "--m", "2", "--p", "5", "--d", "20"],
+            ["wlp", "--n", "40", "--m", "2", "--p", "5"],
+            ["rank", "--n", "3", "--m", "1000000", "--p", "5", "--d", "0", "--e", "100000"],
+            ["wlp", "--m", "4097", "--p", "5"],
+            ["rank", "--n", "13", "--m", "2", "--p", "5", "--d", "0"],
+        ],
+    )
+    def test_rank_and_wlp_refuse_a_quotient_over_budget(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(argv, capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, ""), argv
+        assert err == (
+            f"error: {argv[0]} request over the size budget of 4096 m-free monomials; "
+            "lower --n or --m\n"
+        )
+
+    def test_rank_and_wlp_accept_a_quotient_of_the_budget(self, capsys, monkeypatch):
+        # 2^12 = 64^2 = 4096 m-free monomials go on to the computation
+        def reached(*args, **kwargs):
+            raise ValueError("computation reached")
+
+        monkeypatch.setattr(cli_module, "hs_complete_intersection", reached)
+        monkeypatch.setattr(cli_module, "wlp_decide", reached)
+        for m in (["--n", "12", "--m", "2"], ["--m", "64,64"], ["--m", "4096"]):
+            for argv in (["rank", *m, "--p", "5", "--d", "0"], ["wlp", *m, "--p", "5"]):
+                code, _, err = invoke(argv, capsys)
+                assert code == 1 and "computation reached" in err, argv
+
     def test_empty_grid_trivially_passes(self, capsys):
         code, out, _ = invoke(
             ["verify", "--n-max", "0", "--format", "text"], capsys

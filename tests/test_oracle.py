@@ -75,21 +75,8 @@ class TestBuchberger:
                 want = reduced_gb(n, m, k, kind=order.kind)
                 assert got.elements == want.elements, (n, m, k, order.kind)
 
-    def test_degree_cap_keeps_low_degrees(self):
-        n, m, k = 3, (3, 3, 3), 2
-        cfg = OracleConfig(order=grevlex(n))
-        full = buchberger(power_sum_generators(n, m, k), cfg)
-        cap = 3
-        capped = buchberger(
-            power_sum_generators(n, m, k), OracleConfig(order=grevlex(n), degree_cap=cap)
-        )
-        low = lambda basis: {g for _, g in basis if g.degree() <= cap}
-        assert low(capped) == low(full)
-
-    def test_degree_cap_refused_on_inhomogeneous_input(self):
+    def test_inhomogeneous_generator_is_its_own_basis(self):
         gens = [SparsePoly.from_terms(2, [((2, 0), 1), ((0, 1), 1)])]
-        with pytest.raises(ValueError, match="homogeneous"):
-            buchberger(gens, OracleConfig(order=grevlex(2), degree_cap=3))
         basis = buchberger(gens, OracleConfig(order=grevlex(2)))
         assert basis == (((2, 0), gens[0]),)
 
@@ -128,7 +115,7 @@ class TestBuchberger:
                 bounds = []
                 with monkeypatch.context() as patch:
                     patch.setattr(
-                        oracle, "_start_bound", lambda gens, cap: max(g.degree() for g in gens)
+                        oracle, "_start_bound", lambda gens: max(g.degree() for g in gens)
                     )
                     patch.setattr(
                         oracle, "PackedLayout", lambda o, b: bounds.append(b) or real(o, b)
@@ -277,17 +264,6 @@ class TestPairPruning:
             for order in (grevlex(n), grlex(n)):
                 got = {g.fingerprint() for _, g in buchberger(gens, OracleConfig(order=order))}
                 assert got == sympy_basis(sympy, exprs, xs, order), (gens, order.kind)
-
-    def test_degree_cap_keeps_low_degrees_of_random_systems(self):
-        for n, gens in self.systems():
-            if not all(g.is_homogeneous() for g in gens):
-                continue
-            for order in (grevlex(n), grlex(n)):
-                full = buchberger(gens, OracleConfig(order=order))
-                for cap in range(1, 6):
-                    capped = buchberger(gens, OracleConfig(order=order, degree_cap=cap))
-                    low = lambda basis: {g for _, g in basis if g.degree() <= cap}
-                    assert low(capped) == low(full), (gens, order.kind, cap)
 
 
 class TestVerifyIsGb:

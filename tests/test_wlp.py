@@ -34,12 +34,23 @@ CHECK_GRID = [
 ]
 
 
-def capped_modular_initial_ideal(n, m, k, p):
-    # monomials above the pure-power socle degree always land in the
-    # ideal, so the cap is exact
-    cap = sum(mi - 1 for mi in m) + 1
-    cfg = OracleConfig(order=grevlex(n), p=p, degree_cap=cap)
-    return initial_ideal_oracle(n, m, k, cfg)
+# (n, m, p) of the wlp jobs the benchmark's wlp-modp workload runs
+WLP_MODP_SHAPES = [
+    (5, MIXED, 3),
+    (5, MIXED, 7),
+    (6, (3,) * 6, 5),
+    (6, (3,) * 6, 7),
+    (7, (2,) * 7, 5),
+    (7, (2,) * 7, 3),
+    (5, (4,) * 5, 7),
+    (5, (4,) * 5, 11),
+    (6, (2, 3, 3, 3, 4, 4), 5),
+    (7, (3,) * 7, 5),
+]
+
+
+def modular_initial_ideal(n, m, k, p):
+    return initial_ideal_oracle(n, m, k, OracleConfig(grevlex(n), p))
 
 
 class TestThreshold:
@@ -121,7 +132,7 @@ class TestGbModPCheck:
         rational = set(minimal_generators(n, m, k).min_gens)
         for p in (2, 3):
             assert gb_mod_p_check(n, m, k, p)
-            modular = set(capped_modular_initial_ideal(n, m, k, p).min_gens)
+            modular = set(modular_initial_ideal(n, m, k, p).min_gens)
             assert modular != rational, p
 
     def test_certificate_boundary_on_grid(self):
@@ -140,7 +151,7 @@ class TestGbModPCheck:
             for p in (2, 3, 5, 7):
                 if not gb_mod_p_check(n, m, k, p):
                     continue
-                modular = set(capped_modular_initial_ideal(n, m, k, p).min_gens)
+                modular = set(modular_initial_ideal(n, m, k, p).min_gens)
                 if modular == rational:
                     passed_and_equal += 1
                 else:
@@ -171,6 +182,18 @@ def rank_census():
         for m in itertools.combinations_with_replacement((2, 3, 4), n):
             yield n, m
     yield len(MIXED), MIXED
+
+
+class TestModularInitialIdeal:
+    def test_generated_at_most_one_above_the_socle_degree(self):
+        # every monomial of degree top + 1 has some exponent x_i^{m_i}, so
+        # the ideal holds the whole degree and no minimal generator lies above
+        cases = [(n, m, k, p) for n, m, k in CHECK_GRID for p in (2, 3, 5, 7)]
+        cases += [(n, m, 1, p) for n, m, p in WLP_MODP_SHAPES]
+        for n, m, k, p in cases:
+            top = sum(mi - 1 for mi in m)
+            gens = modular_initial_ideal(n, m, k, p).min_gens
+            assert max(sum(g) for g in gens) <= top + 1, (n, m, k, p)
 
 
 class TestRankScan:
