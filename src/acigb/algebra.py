@@ -185,8 +185,12 @@ def check_degree_vector(m: Iterable[int], n: int | None = None) -> tuple:
     """m as a tuple of ints, each at least 2, and of length n when n is
     given."""
     m = tuple(int(v) for v in m)
-    if any(v < 2 for v in m):
-        raise ValueError(f"degree vector entries must be >= 2, got {m}")
+    for i, v in enumerate(m, start=1):
+        if v < 2:
+            # the first bad entry only: the vector may hold millions
+            raise ValueError(
+                f"degree vector entries must be >= 2, got {v} at position {i}"
+            )
     if n is not None and len(m) != n:
         raise ValueError("degree vector length must equal n")
     return m

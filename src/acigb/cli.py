@@ -36,6 +36,7 @@ import argparse
 import csv
 import io
 import json
+import operator
 import os
 import sys
 import tempfile
@@ -43,8 +44,9 @@ from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import accumulate, product, repeat
 from json.encoder import encode_basestring_ascii as _quote
+from math import factorial
 
 from .algebra import (
     TermOrder,
@@ -123,14 +125,28 @@ def _routes(text, flag: str) -> tuple:
     return tuple(part.strip() for part in str(text).split(",") if part.strip())
 
 
+def _capped(values, budget: int, op=None) -> int:
+    """The running sum of ``values``, or their running fold under ``op``,
+    taken only up to the first total that passes ``budget``, which it
+    returns; 0 for no values.  ``values`` may be endless."""
+    total = 0
+    for total in accumulate(values, op):
+        if total > budget:
+            break
+    return total
+
+
+def _refuse(size: int, budget: int, what: str, flags: str, unit: str = "") -> None:
+    """The one size refusal: a ``size`` over ``budget`` raises a one-line
+    ValueError naming the flags that lower it."""
+    if size > budget:
+        raise ValueError(f"{what} over the size budget of {budget}{unit}; lower {flags}")
+
+
 def _check_width(width: int, flag: str) -> None:
     # refused before the tuple is built: eq:3:100000000 alone would take
     # 800 MB, and no subcommand finishes on a vector this long
-    if width > SEQ_BUDGET:
-        raise ValueError(
-            f"{flag} asks for {width} variables, over the size budget of "
-            f"{SEQ_BUDGET}; lower {flag}"
-        )
+    _refuse(width, SEQ_BUDGET, f"{flag} asks for {width} variables,", flag)
 
 
 def parse_m(spec, n=None):
@@ -169,14 +185,6 @@ def parse_mspec(text) -> MSpec:
     return MSpec.finite(values)
 
 
-def _jsonable(value):
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, Fraction):
-        return coeff_to_str(value)
-    return value
-
-
 def _encode(value, indent: str) -> str:
     """``value`` at this indent, byte for byte as the stdlib's ``json.dumps``
     writes it with ``indent=2``, for the types the payloads use: str keys,
@@ -213,39 +221,25 @@ def _encode(value, indent: str) -> str:
     raise TypeError(f"cannot write {kind.__name__} as JSON")
 
 
-def _write_json(value, indent: str, write) -> None:
-    """``_encode(value, indent)`` through ``write``, a piece at a time
-    wherever a dict or list holds dicts, as a basis's list of elements does,
-    so the text of a large payload is held once, in the writer, and not also
-    as the joined texts of its parts."""
-    kind = type(value)
-    container = kind is dict or kind is list or kind is tuple
-    items = value.values() if kind is dict else value
-    if not container or dict not in set(map(type, items)):
-        write(_encode(value, indent))
-        return
-    inner = indent + "  "
-    sep = ",\n" + inner
-    opening, closing = "{}" if kind is dict else "[]"
-    write(opening + "\n" + inner)
-    if kind is dict:
-        for i, (key, item) in enumerate(value.items()):
-            # _quote raises TypeError on a key that is not a str
-            write(f"{sep if i else ''}{_quote(key)}: ")
-            _write_json(item, inner, write)
-    else:
-        for i, item in enumerate(value):
-            if i:
-                write(sep)
-            _write_json(item, inner, write)
-    write("\n" + indent + closing)
-
-
-def _dumps(payload: dict) -> str:
-    """The one JSON writer of every subcommand."""
+def _dumps(payload) -> str:
+    """The one JSON writer of every subcommand: ``_encode(payload, "")`` and a
+    newline.  A top-level dict goes out a key at a time, and each item of a
+    list under it on its own, so the text of a long list, a basis's elements
+    or a grid's cases, is held once, in the buffer, and not also as the
+    joined texts of its items."""
+    if type(payload) is not dict or not payload:
+        return _encode(payload, "") + "\n"
     buffer = io.StringIO()
-    _write_json(payload, "", buffer.write)
-    buffer.write("\n")
+    for i, (key, value) in enumerate(payload.items()):
+        # _quote raises TypeError on a key that is not a str
+        buffer.write(f"{',' if i else '{'}\n  {_quote(key)}: ")
+        if (type(value) is list or type(value) is tuple) and value:
+            for j, item in enumerate(value):
+                buffer.write(f"{',' if j else '['}\n    {_encode(item, '    ')}")
+            buffer.write("\n  ]")
+        else:
+            buffer.write(_encode(value, "  "))
+    buffer.write("\n}\n")
     return buffer.getvalue()
 
 
@@ -338,10 +332,7 @@ def _cmd_crit(ns: argparse.Namespace) -> tuple:
 
 def _cmd_hilbert(ns: argparse.Namespace) -> tuple:
     # the series of every prefix of m is built on the way to the whole
-    if _series_size(check_degree_vector(ns.m)) > SEQ_BUDGET:
-        raise ValueError(
-            f"hilbert request over the size budget of {SEQ_BUDGET}; lower --m"
-        )
+    _refuse(_series_size(check_degree_vector(ns.m)), SEQ_BUDGET, "hilbert request", "--m")
     series = hs_complete_intersection(ns.m)
     quotient = truncate_lefschetz(series, ns.k)
     socle_D, delta = series_socle(series, max(ns.m, default=0), ns.k, ns.m)
@@ -390,14 +381,15 @@ def _series_size(exponents) -> int:
     D + 1 coefficients, each at most the product of those exponents (the
     coefficient sum); a number below 2^L has at most L * 30103 // 10**5 + 1
     digits."""
-    size, D, product = 0, 0, 1
-    for m_i in exponents:
-        D += m_i - 1
-        product *= m_i
-        size += (D + 1) * (product.bit_length() * 30103 // 100_000 + 1)
-        if size > SEQ_BUDGET:
-            break
-    return size
+
+    def terms():
+        D, product = 0, 1
+        for m_i in exponents:
+            D += m_i - 1
+            product *= m_i
+            yield (D + 1) * (product.bit_length() * 30103 // 100_000 + 1)
+
+    return _capped(terms(), SEQ_BUDGET)
 
 
 def _scan_size(mspec: MSpec, k: int, d_max: int) -> int:
@@ -424,23 +416,11 @@ def _scan_size(mspec: MSpec, k: int, d_max: int) -> int:
     return _series_size(exponents())
 
 
-def _capped_sum(terms) -> int:
-    total = 0
-    for t in terms:
-        total += t
-        if total > SEQ_BUDGET:
-            break
-    return total
-
-
 def _check_budget(size, n_max: int, least: int, other: str) -> None:
     """Refuse when size(--max) passes the budget, naming --max, or the other
     flags when even size(least) passes it."""
-    if size(n_max) > SEQ_BUDGET:
-        flag = other if size(least) > SEQ_BUDGET else "--max"
-        raise ValueError(
-            f"seq request over the size budget of {SEQ_BUDGET}; lower {flag}"
-        )
+    flags = other if size(least) > SEQ_BUDGET else "--max"
+    _refuse(size(n_max), SEQ_BUDGET, "seq request", flags)
 
 
 def _seq_payload(ns: argparse.Namespace) -> dict:
@@ -462,7 +442,7 @@ def _seq_payload(ns: argparse.Namespace) -> dict:
         # every term lies below 4^i (Catalan) or 3^i
         base = 4 if family == "catalan" else 3
         _check_budget(
-            lambda n: _capped_sum(_power_digits(base, i) for i in range(n + 1)),
+            lambda n: _capped(map(_power_digits, repeat(base), range(n + 1)), SEQ_BUDGET),
             ns.max, 0, "--max",
         )
         return {
@@ -473,11 +453,9 @@ def _seq_payload(ns: argparse.Namespace) -> dict:
         m_val = _single_int_m(_require(ns.m, "--m", family), family)
         if m_val >= 2:  # a smaller --m is refused before any work
             # row n holds (m - 1) n + 1 entries, each below m^(2n)
+            row_digits = lambda i: ((m_val - 1) * i + 1) * _power_digits(m_val, 2 * i)
             _check_budget(
-                lambda n: _capped_sum(
-                    ((m_val - 1) * i + 1) * _power_digits(m_val, 2 * i)
-                    for i in range(n + 1)
-                ),
+                lambda n: _capped(map(row_digits, range(n + 1)), SEQ_BUDGET),
                 ns.max, 1, "--m",
             )
         triangle = s_catalan_triangle(m_val, ns.max)
@@ -539,14 +517,8 @@ def _cmd_seq(ns: argparse.Namespace) -> tuple:
 def _check_m_free(m, what: str, flags: str) -> None:
     """Refuse an R/(x^m) of more than VERIFY_CASE_BUDGET m-free monomials,
     the product of the exponents, multiplied up only until it passes."""
-    count = 1
-    for m_i in m:
-        count *= m_i
-        if count > VERIFY_CASE_BUDGET:
-            raise ValueError(
-                f"{what} over the size budget of {VERIFY_CASE_BUDGET} m-free "
-                f"monomials; lower {flags}"
-            )
+    count = _capped(m, VERIFY_CASE_BUDGET, operator.mul)
+    _refuse(count, VERIFY_CASE_BUDGET, what, flags, " m-free monomials")
 
 
 def _cmd_wlp(ns: argparse.Namespace) -> tuple:
@@ -560,12 +532,12 @@ def _cmd_wlp(ns: argparse.Namespace) -> tuple:
                 "p": verdict.p,
                 "has_wlp": verdict.has_wlp,
                 "route": verdict.route,
-                "witness": _jsonable(verdict.witness),
+                "witness": verdict.witness,
                 "findings": [
                     {
                         "route": f.route,
                         "holds": f.holds,
-                        "witness": _jsonable(f.witness),
+                        "witness": f.witness,
                     }
                     for f in verdict.findings
                 ],
@@ -579,7 +551,7 @@ def _cmd_wlp(ns: argparse.Namespace) -> tuple:
         f"decided by: {verdict.route}",
     ]
     for f in verdict.findings:
-        tail = "" if f.witness is None else f" witness={_jsonable(f.witness)}"
+        tail = "" if f.witness is None else f" witness={json.dumps(f.witness)}"
         lines.append(f"{f.route}: {'holds' if f.holds else 'fails'}{tail}")
     if verdict.explanation:
         lines.append(f"note: {verdict.explanation}")
@@ -674,13 +646,10 @@ def _grid_count(n_max: int, m_max: int, k_max: int, census: bool = False) -> int
     r, budget = m_max - 1, CENSUS_BUDGET if census else VERIFY_BUDGET
     if min(r, k_max) < 1:
         return 0
-    total, term = 0, k_max
-    for n in range(1, n_max + 1):
-        term *= r * n if census else r
-        total += term
-        if total > budget:
-            break
-    return total
+    terms = (
+        k_max * r**n * (factorial(n) if census else 1) for n in range(1, n_max + 1)
+    )
+    return _capped(terms, budget)
 
 
 def verify_all(grid, census: bool = False) -> dict:
@@ -688,20 +657,15 @@ def verify_all(grid, census: bool = False) -> dict:
     Buchberger oracle in both orders, and the three Hilbert function routes
     against each other. Grid bounds are inclusive; exponents run from 2."""
     n_max, m_max, k_max = grid
+    flags = "--n-max, --m-max or --k-max"
     size = _grid_count(n_max, m_max, k_max)
-    if size > VERIFY_BUDGET:
-        raise ValueError(
-            f"verify grid over the size budget of {VERIFY_BUDGET} cases; "
-            "lower --n-max, --m-max or --k-max"
-        )
+    _refuse(size, VERIFY_BUDGET, "verify grid", flags, " cases")
     # an empty grid may have a huge n_max, so nothing walks it
     if size:
         _check_m_free(repeat(m_max, n_max), "verify grid's largest case", "--n-max or --m-max")
-    if census and _grid_count(n_max, m_max, k_max, census) > CENSUS_BUDGET:
-        raise ValueError(
-            f"verify census over the size budget of {CENSUS_BUDGET} rankings; "
-            "lower --n-max, --m-max or --k-max"
-        )
+    if census:
+        count = _grid_count(n_max, m_max, k_max, census)
+        _refuse(count, CENSUS_BUDGET, "verify census", flags, " rankings")
     cases = [
         (n, m, k, census)
         for n in range(1, n_max + 1)

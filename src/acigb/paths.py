@@ -159,6 +159,19 @@ def _ascii_segment(cells, left, top, i, y0, y1, ch):
         cells[top - y][col] = ch
 
 
+def _frame(heights, line: ReflectionLine, reflected):
+    """The path's heights on the doubled grid, and the top and bottom rows,
+    on that grid, of a picture holding the path, the boundary and the
+    reflected path, with a unit of margin above and below."""
+    path2 = [2 * b for b in heights]
+    layers = [path2, list(line.y2)]
+    if reflected is not None:
+        layers.append([2 * b for b in reflected])
+    top = max(max(layer) for layer in layers) + 2
+    bottom = min(min(layer) for layer in layers) - 2
+    return path2, top, bottom
+
+
 def render_ascii(heights, line: ReflectionLine, reflected=None) -> str:
     """Character picture of a path against the boundary line.
 
@@ -168,12 +181,7 @@ def render_ascii(heights, line: ReflectionLine, reflected=None) -> str:
     path, when given, is drawn with ':'.
     """
     n = line.n
-    path2 = [2 * b for b in heights]
-    layers = [path2, list(line.y2)]
-    if reflected is not None:
-        layers.append([2 * b for b in reflected])
-    top = max(max(layer) for layer in layers) + 2
-    bottom = min(min(layer) for layer in layers) - 2
+    path2, top, bottom = _frame(heights, line, reflected)
     left = 5
     width = left + _XCELLS * n + 2
     cells = [[" "] * width for _ in range(top - bottom + 1)]
@@ -214,12 +222,7 @@ def render_svg(heights, line: ReflectionLine, reflected=None) -> str:
     the doubled integer grid, twenty pixels per half unit."""
     n = line.n
     pad = 40
-    path2 = [2 * b for b in heights]
-    layers = [path2, list(line.y2)]
-    if reflected is not None:
-        layers.append([2 * b for b in reflected])
-    top = max(max(layer) for layer in layers) + 2
-    bottom = min(min(layer) for layer in layers) - 2
+    _, top, bottom = _frame(heights, line, reflected)
     fx = lambda x: pad + 40 * x
     fy = lambda y2: pad + 20 * (top - y2)
     w = 2 * pad + 40 * n

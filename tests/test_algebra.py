@@ -17,6 +17,7 @@ from acigb.algebra import (
     SparsePoly,
     TermOrder,
     binom,
+    check_degree_vector,
     clear_denominators,
     compositions,
     enumerate_m_free,
@@ -119,6 +120,20 @@ class TestOrders:
         assert (o.key(a) == o.key(b)) == (a == b)
         if sign(o, a, b) <= 0 and sign(o, b, c) <= 0:
             assert sign(o, a, c) <= 0
+
+
+class TestCheckDegreeVector:
+    def test_names_only_the_first_bad_entry(self):
+        with pytest.raises(ValueError) as info:
+            check_degree_vector((2,) * 10**6 + (0,))
+        message = str(info.value)
+        assert len(message) < 100, message
+        assert "got 0 at position 1000001" in message
+
+    def test_first_of_several_bad_entries(self):
+        with pytest.raises(ValueError, match=r"got 1 at position 2$"):
+            check_degree_vector((3, 1, 0))
+        assert check_degree_vector([2, 5], 2) == (2, 5)
 
 
 class TestMonoHelpers:

@@ -2,7 +2,10 @@
 determinism, exit codes, config handling, and the picture renderers."""
 
 import hashlib
+import inspect
+import itertools
 import json
+import operator
 import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -910,6 +913,39 @@ class TestExitCodes:
             )
             assert time.perf_counter() - start < 1.0
             assert (code, out) == (0, "passed 0 of 0\n"), flags
+
+
+class TestSizeBudget:
+    """``cli._capped``, the one early-stopping count, and ``cli._refuse``,
+    the one size refusal."""
+
+    def test_capped_stops_on_endless_inputs(self):
+        # 1 + 2 + ... + 14 = 105 is the first running sum past 100
+        assert cli_module._capped(itertools.count(1), 100) == 105
+        # 2^7 = 128 is the first running product past 100
+        assert cli_module._capped(itertools.repeat(2), 100, operator.mul) == 128
+
+    def test_capped_total_within_budget(self):
+        assert cli_module._capped(range(5), 100) == 10
+        assert cli_module._capped([2, 5, 10], 100, operator.mul) == 100
+
+    def test_capped_of_nothing_is_zero(self):
+        assert cli_module._capped([], 100) == 0
+        assert cli_module._capped(iter(()), 100, operator.mul) == 0
+
+    def test_refuse_only_over_the_budget(self):
+        cli_module._refuse(5, 5, "x request", "--x")
+        with pytest.raises(ValueError) as info:
+            cli_module._refuse(6, 5, "x request", "--x or --y", " things")
+        assert str(info.value) == (
+            "x request over the size budget of 5 things; lower --x or --y"
+        )
+
+    def test_one_size_budget_message(self):
+        # a new budget goes through _refuse, not a copy of its message
+        text = "over the size budget of"
+        assert inspect.getsource(cli_module).count(text) == 1
+        assert text in inspect.getsource(cli_module._refuse)
 
 
 class TestVerifyAll:
