@@ -14,13 +14,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 Mono = tuple  # exponent tuple, one entry per variable
 
 
-@lru_cache(maxsize=None)
 def binom(n: int, k: int) -> int:
     """Binomial coefficient, 0 outside the triangle."""
     if k < 0 or n < 0 or k > n:
@@ -562,16 +560,15 @@ def reduce_full(f: PackedPoly, table: list) -> PackedPoly:
     return PackedPoly(layout, f.field, remainder)
 
 
-def clear_denominators(f: SparsePoly, lead: Mono | None = None) -> SparsePoly:
+def clear_denominators(f: SparsePoly) -> SparsePoly:
     """The primitive integer multiple of f, with Fraction coefficients: f
     scaled by the lcm of its denominators, divided by the content, with a
-    positive coefficient at lead, by default the grevlex leading monomial."""
+    positive coefficient at the grevlex leading monomial."""
     if f.field.p is not None:
         raise ValueError("clear_denominators expects rational coefficients")
     if f.is_zero():
         return f
-    if lead is None:
-        lead = max(f.terms, key=grevlex(f.n).key)
+    lead = max(f.terms, key=grevlex(f.n).key)
     den = math.lcm(*[c.denominator for c in f.terms.values()])
     ints = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
     content = math.gcd(*ints.values())
@@ -582,10 +579,6 @@ def clear_denominators(f: SparsePoly, lead: Mono | None = None) -> SparsePoly:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def coeff_to_str(c) -> str:
-    return str(c)
 
 
 def mono_to_text(mono: Mono) -> str:
@@ -610,11 +603,11 @@ def poly_to_text(f: SparsePoly, order: TermOrder) -> str:
         mag = -c if neg else c
         mtxt = mono_to_text(mono)
         if mtxt == "1":
-            body = coeff_to_str(mag)
+            body = str(mag)
         elif mag == 1:
             body = mtxt
         else:
-            body = f"{coeff_to_str(mag)}*{mtxt}"
+            body = f"{mag}*{mtxt}"
         if i == 0:
             pieces.append(f"-{body}" if neg else body)
         else:
@@ -627,6 +620,6 @@ def poly_to_json(f: SparsePoly, order: TermOrder) -> dict:
     return {
         "n": f.n,
         "terms": [
-            {"exps": list(m), "coeff": coeff_to_str(f.terms[m])} for m in monos
+            {"exps": list(m), "coeff": str(f.terms[m])} for m in monos
         ],
     }

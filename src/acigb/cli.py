@@ -52,7 +52,6 @@ from .algebra import (
     TermOrder,
     check_degree_vector,
     check_power,
-    coeff_to_str,
     mono_to_text,
     poly_to_json,
     poly_to_text,
@@ -480,7 +479,7 @@ def _seq_payload(ns: argparse.Namespace) -> dict:
         return {
             "family": "spin",
             "m": m_val,
-            "sigma": coeff_to_str(sigma),
+            "sigma": str(sigma),
             "values": [[i, v] for i, v in enumerate(values)],
         }
     raise ValueError(f"unknown family {family!r}; pick one of {', '.join(SEQ_FAMILIES)}")

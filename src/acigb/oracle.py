@@ -8,8 +8,9 @@ tautology.  Works over the rationals or a prime field.
 The reductions run on the packed keys of ``algebra.PackedLayout``, one int
 per monomial whose integer order is the term order: the lead tables, the
 S-polynomials and every ``reduce_full`` stay packed from the first pair to
-the end of the interreduction, and only the pair criteria read exponent
-tuples.  ``buchberger`` takes and returns ``SparsePoly`` polynomials.
+the end of the interreduction, and only the rules that make new pairs read
+exponent tuples; every pair made is reduced.  ``buchberger`` takes and
+returns ``SparsePoly`` polynomials.
 """
 
 from __future__ import annotations
@@ -135,15 +136,13 @@ def buchberger(gens: list, cfg: OracleConfig) -> tuple:
     """Reduced Groebner basis of the ideal the generators span, as (leading
     monomial, monic element) pairs.
 
-    Normal selection strategy with the Gebauer-Moeller update: each new
-    element makes pairs only with the useful elements (those whose lead no
-    later lead divides), keeps one pair per minimal lcm, none for an lcm a
-    coprime pair shares, and deletes each waiting pair whose lcm the new lead
-    divides with a different lcm on both sides.  Deletion is lazy: the pairs
-    wait in a heap of (packed lcm, i, j), i > j, and one that left ``live``
-    is skipped when popped.  The pair with the smallest lcm in the order
-    comes next and ties go to the lower indices; the reduced basis is unique,
-    so the tie-break never shows in the result.
+    Normal selection strategy: each new element makes pairs only with the
+    useful elements (those whose lead no later lead divides), keeps one pair
+    per minimal lcm and none for an lcm a coprime pair shares.  The pairs
+    wait in a heap of (packed lcm, i, j), i > j, and each is reduced once
+    when popped.  The pair with the smallest lcm in the order comes next and
+    ties go to the lower indices; the reduced basis is unique, so the
+    tie-break never shows in the result.
 
     The pair criteria run on exponent tuples, the reductions on the keys of
     one ``PackedLayout``.  Its bound (``_start_bound``) must hold every term
@@ -167,7 +166,6 @@ def _lead_basis(gens: list, layout: PackedLayout, field: Field) -> list:
     table = lead_table(gens, layout)
     leads: list = []  # leading monomial of each element, as a tuple
     useful: list = []  # indices of the elements new pairs may use
-    live: dict = {}  # waiting pair (i, j) -> lcm
     heap: list = []
 
     def update(lt):
@@ -179,18 +177,10 @@ def _lead_basis(gens: list, layout: PackedLayout, field: Field) -> list:
                 new[lcm] = None
             else:
                 new.setdefault(lcm, s)
-        for pair, lcm in list(live.items()):
-            if (
-                mono_divides(lt, lcm)
-                and mono_lcm(leads[pair[0]], lt) != lcm
-                and mono_lcm(leads[pair[1]], lt) != lcm
-            ):
-                del live[pair]
         for lcm, s in new.items():
             if s is not None and not any(o != lcm and mono_divides(o, lcm) for o in new):
                 if sum(lcm) > layout.bound:
                     raise _Overflow(sum(lcm))
-                live[t, s] = lcm
                 heapq.heappush(heap, (layout.pack(lcm), t, s))
         useful[:] = [s for s in useful if not mono_divides(lt, leads[s])] + [t]
         leads.append(lt)
@@ -199,8 +189,6 @@ def _lead_basis(gens: list, layout: PackedLayout, field: Field) -> list:
         update(layout.unpack(entry[1]))
     while heap:
         lcm, i, j = heapq.heappop(heap)
-        if live.pop((i, j), None) is None:
-            continue
         h = reduce_full(spoly(table[i], table[j], lcm, layout, field), table)
         if not h.is_zero():
             entry = lead_entry(h)

@@ -26,7 +26,6 @@ verdict instead of being treated as a conflict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import check_degree_vector, clear_denominators, grevlex, is_prime
 from .closed_form import reduced_gb
@@ -119,7 +118,7 @@ def gb_mod_p_check(n: int, m, k: int, p: int) -> bool:
         raise ValueError("modulus must be prime")
     basis = reduced_gb(n, m, k)
     for lead, g in zip(basis.leads, basis.elements):
-        if Fraction(clear_denominators(g, lead).terms[lead]).numerator % p == 0:
+        if clear_denominators(g).terms[lead].numerator % p == 0:
             return False
     return True
 

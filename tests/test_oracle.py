@@ -75,6 +75,15 @@ class TestBuchberger:
                 want = reduced_gb(n, m, k, kind=order.kind)
                 assert got.elements == want.elements, (n, m, k, order.kind)
 
+    def test_beyond_the_grid_agrees_with_closed_form(self):
+        # five to seven variables, equal and mixed exponents: cases where
+        # the pair loop runs hundreds of S-pairs, out of the grid's reach
+        cases = [(5, (4,) * 5, 4), (5, (5,) * 5, 5), (7, (3,) * 7, 3)]
+        cases += [(5, (2, 3, 4, 5, 6), k) for k in range(1, 16)]
+        for n, m, k in cases:
+            got = oracle_reduced_gb(n, m, k).fingerprint()
+            assert got == reduced_gb(n, m, k).fingerprint(), (n, m, k)
+
     def test_inhomogeneous_generator_is_its_own_basis(self):
         gens = [SparsePoly.from_terms(2, [((2, 0), 1), ((0, 1), 1)])]
         basis = buchberger(gens, OracleConfig(order=grevlex(2)))
