@@ -159,7 +159,10 @@ def mono_pack(mono: Mono, width: int, cap: int) -> int:
 def packed_divides_any(gens, h: int, guard: int) -> bool:
     """Whether some packed monomial in gens divides the packed monomial h."""
     h |= guard
-    return any((h - g) & guard == guard for g in gens)
+    for g in gens:
+        if (h - g) & guard == guard:
+            return True
+    return False
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
@@ -615,11 +618,20 @@ def poly_to_text(f: SparsePoly, order: TermOrder) -> str:
     return " ".join(pieces)
 
 
-def poly_to_json(f: SparsePoly, order: TermOrder) -> dict:
-    monos = sorted(f.terms, key=order.key, reverse=True)
-    return {
-        "n": f.n,
-        "terms": [
-            {"exps": list(m), "coeff": str(f.terms[m])} for m in monos
-        ],
-    }
+def poly_to_json(f: SparsePoly, order: TermOrder, indent: str) -> str:
+    """``{"n": n, "terms": [{"exps": [...], "coeff": "..."}, ...]}`` as JSON
+    text, byte for byte as ``json.dumps(indent=2)`` writes it at this indent,
+    terms sorted descending in the order.  One f-string per term: a
+    coefficient is a Fraction or an int, whose str holds only digits, ``-``
+    and ``/``, so it needs no escaping."""
+    i2, i4, i6, i8 = (indent + " " * w for w in (2, 4, 6, 8))
+    # every exponent tuple has length n; with n = 0 each is written []
+    opening, closing = (f"[\n{i8}", f"\n{i6}]") if f.n else ("[", "]")
+    head, mid = f'{i4}{{\n{i6}"exps": {opening}', f'{closing},\n{i6}"coeff": "'
+    sep, tail, terms = ",\n" + i8, f'"\n{i4}}}', f.terms
+    body = ",\n".join([
+        f"{head}{sep.join(map(str, m))}{mid}{terms[m]}{tail}"
+        for m in sorted(terms, key=order.key, reverse=True)
+    ])
+    listing = f"[\n{body}\n{i2}]" if terms else "[]"
+    return f'{{\n{i2}"n": {f.n},\n{i2}"terms": {listing}\n{indent}}}'

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -516,7 +517,8 @@ def coeff_from_str(s: str, field: Field):
 
 
 def poly_from_json(data: dict, field: Field = QQ) -> SparsePoly:
-    """Inverse of ``poly_to_json``, the reference its round trips check."""
+    """Inverse of ``poly_to_json`` after ``json.loads``, the reference its
+    round trips check."""
     n = data["n"]
     return SparsePoly.from_terms(
         n,
@@ -539,7 +541,7 @@ class TestSerialization:
 
     def test_json_round_trip(self):
         f = P(3, [((1, 0, 2), Fraction(7, 3)), ((0, 1, 0), -2)])
-        data = poly_to_json(f, grevlex(3))
+        data = json.loads(poly_to_json(f, grevlex(3), ""))
         assert data["terms"][0]["coeff"] in ("7/3", "-2")
         g = poly_from_json(data)
         assert g == f
@@ -548,4 +550,33 @@ class TestSerialization:
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_json_round_trip_random(self, items):
         f = P(3, items)
-        assert poly_from_json(poly_to_json(f, grevlex(3))) == f
+        assert poly_from_json(json.loads(poly_to_json(f, grevlex(3), ""))) == f
+
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(
+                        st.tuples(*([st.integers(0, 12)] * n)),
+                        st.one_of(
+                            st.integers(-10**30, 10**30),
+                            st.fractions(max_denominator=10**12),
+                        ),
+                    ),
+                    max_size=6,
+                ),
+                st.sampled_from(["grevlex", "grlex"]),
+                st.permutations(range(1, n + 1)),
+            )
+        ),
+        st.sampled_from(["", "  ", "    "]),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_json_text_is_the_stdlib_layout(self, reference_tree, case, indent):
+        # negative and fractional coefficients, zero exponents, n from 0 up
+        n, items, kind, ranking = case
+        order = TermOrder(kind, tuple(ranking))
+        f = P(n, items)
+        expected = json.dumps(reference_tree(f, order), indent=2)
+        assert poly_to_json(f, order, indent) == expected.replace("\n", "\n" + indent)

@@ -63,12 +63,15 @@ def test_every_traced_name_resolves(layer_trace):
 
 
 def test_closed_form_pairs_replay(capsys):
-    """Every job of the ``closed-form`` pairs, run through ``cli.main`` as the
-    benchmark's worker runs it, writes the bytes the catalogue pins.  The
-    headline jobs are left to the benchmark: they take seconds."""
-    pairs = json.loads(CATALOGUE.read_text())["closed-form"]["pairs"]
-    jobs = [job for pair in pairs for job in pair]
+    """Every job of the ``closed-form`` workload, run through ``cli.main`` as
+    the benchmark's worker runs it, writes the bytes the catalogue pins: the
+    60 jobs of the pairs and the three headline jobs, among them the golden
+    ``gb --m eq:3:9 --k 3 --format json`` basis."""
+    workload = json.loads(CATALOGUE.read_text())["closed-form"]
+    jobs = [job for pair in workload["pairs"] for job in pair]
     assert len(jobs) == 60
+    assert len(workload["headline"]) == 3
+    jobs += workload["headline"]
     for job in jobs:
         code = cli.main(list(job["argv"]))
         out, err = capsys.readouterr()
