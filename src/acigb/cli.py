@@ -222,27 +222,31 @@ def _encode(value, indent: str) -> str:
 
 def _dumps(payload, rendered: str | None = None) -> str:
     """The one JSON writer of every subcommand: ``_encode(payload, "")`` and a
-    newline.  A top-level dict goes out a key at a time, and each item of a
-    list under it on its own, and the pieces are joined once at the end, so
-    the text of a long list, a grid's cases or a basis's elements, is not
-    also built as one string per list.  The list under the key ``rendered``
-    holds JSON texts already written at the item indent, gb's elements from
-    ``algebra.poly_to_json``, and goes in as it is, uncopied."""
+    newline.  A top-level dict goes out a key at a time into one buffer, and
+    each item of a list under it on its own, so the text of a long list, a
+    grid's cases or a basis's elements, is not also built as one string per
+    list.  The value under the key ``rendered`` is an iterable of JSON texts
+    already written at the item indent, gb's elements from
+    ``algebra.poly_to_json``: each is written as it comes, so only one is
+    held at a time."""
     if type(payload) is not dict or not payload:
         return _encode(payload, "") + "\n"
-    pieces = []
+    buffer = io.StringIO()
     for i, (key, value) in enumerate(payload.items()):
         # _quote raises TypeError on a key that is not a str
-        pieces.append(f"{',' if i else '{'}\n  {_quote(key)}: ")
-        if (type(value) is list or type(value) is tuple) and value:
+        buffer.write(f"{',' if i else '{'}\n  {_quote(key)}: ")
+        if key == rendered or type(value) is list or type(value) is tuple:
             texts = value if key == rendered else (_encode(item, "    ") for item in value)
-            for j, text in enumerate(texts):
-                pieces += (",\n    " if j else "[\n    ", text)
-            pieces.append("\n  ]")
+            opening = "["
+            for text in texts:
+                buffer.write(f"{opening}\n    ")
+                buffer.write(text)
+                opening = ","
+            buffer.write("[]" if opening == "[" else "\n  ]")
         else:
-            pieces.append(_encode(value, "  "))
-    pieces.append("\n}\n")
-    return "".join(pieces)
+            buffer.write(_encode(value, "  "))
+    buffer.write("\n}\n")
+    return buffer.getvalue()
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -285,9 +289,8 @@ def _cmd_gb(ns: argparse.Namespace) -> tuple:
                 "kind": basis.order.kind,
                 "ranking": list(basis.order.ranking),
             },
-            "elements": [poly_to_json(g, basis.order, "    ") for g in basis.elements],
+            "elements": (poly_to_json(g, basis.order, "    ") for g in basis.elements),
         }
-        del basis  # the payload holds copies of all it writes: free the rest first
         return _dumps(payload, rendered="elements"), True
     lines = [poly_to_text(g, basis.order) for g in basis.elements]
     if ns.format == "text":

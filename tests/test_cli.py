@@ -454,6 +454,14 @@ class TestJsonWriter:
             SEQ_FAMILIES
         )
 
+    @pytest.mark.parametrize("items", [[], [{"a": [1, "b"]}], [{}, [], 3]])
+    def test_rendered_key_takes_item_texts(self, items):
+        # the texts, at the item indent, may come from a generator
+        texts = (json.dumps(item, indent=2).replace("\n", "\n    ") for item in items)
+        payload = {"n": 1, "elements": texts, "rest": items}
+        expected = self.reference({"n": 1, "elements": items, "rest": items})
+        assert cli_module._dumps(payload, rendered="elements") == expected
+
     @pytest.mark.parametrize(
         "value",
         [1.5, Fraction(1, 2), {1, 2}, frozenset(), b"x", object()],
