@@ -44,6 +44,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, product, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import factorial
@@ -599,9 +600,8 @@ def _cmd_render(ns: argparse.Namespace) -> tuple:
         image = reflect(heights, line)
         if image is None:
             raise ValueError("path never touches the line, nothing to reflect")
-    if ns.format == "svg":
-        return render_svg(heights, line, reflected=image), True
-    return render_ascii(heights, line, reflected=image), True
+    render = render_svg if ns.format == "svg" else render_ascii
+    return render(heights, line, reflected=image), True
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +791,9 @@ SUBCOMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process and shared: do not mutate; ``__wrapped__()`` is fresh."""
     parser = argparse.ArgumentParser(
         prog="acigb",
         description="Groebner bases of power-sum almost complete intersections.",
@@ -851,6 +853,7 @@ def _validate(ns: argparse.Namespace, spec: Subcommand) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command line; safe to call repeatedly in one process."""
     ns = build_parser().parse_args(argv)
     spec = SUBCOMMANDS[ns.subcommand]
     try:

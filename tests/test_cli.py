@@ -1,6 +1,7 @@
 """End-to-end tests of the command line: golden outputs, schema validation,
 determinism, exit codes, config handling, and the picture renderers."""
 
+import argparse
 import hashlib
 import inspect
 import itertools
@@ -632,6 +633,86 @@ class TestConfigFile:
         polylines = [el for el in ET.fromstring(out).iter()
                      if el.tag.endswith("polyline")]
         assert len(polylines) == 3
+
+
+def run_captured(argv, capsys):
+    """Exit code, stdout and stderr of one ``main`` call; argparse's own exits
+    (``--help``, a usage error) raise SystemExit, whose code counts here."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestSharedParser:
+    """``main`` reuses one parser per process; no call may see another's."""
+
+    GB = ["gb", "--m", "2,2,3", "--k", "2", "--format", "text"]
+
+    def sequence(self, cfg):
+        return [
+            self.GB + ["--ranking", "3,2,1", "--order", "grlex"],
+            self.GB,
+            ["gb", "--config", str(cfg)],
+            self.GB,
+            ["gb", "--m", "2,2,3", "--frobnicate"],
+            self.GB,
+            ["--help"],
+            ["gb", "--help"],
+            ["hilbert", "--m", "1,2", "--k", "1"],
+            self.GB,
+        ]
+
+    def test_reused_parser_matches_a_fresh_one(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"m": "2,2,3", "k": 2, "ranking": "2,3,1", "order": "grlex", "format": "m2"}
+        ))
+        shared = [run_captured(argv, capsys) for argv in self.sequence(cfg)]
+        monkeypatch.setattr(cli_module, "build_parser", cli_module.build_parser.__wrapped__)
+        fresh = [run_captured(argv, capsys) for argv in self.sequence(cfg)]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 0, 0, 0, 1, 0]
+        # the ranked, grlex and config runs differ from the plain one
+        assert len({shared[i][1] for i in (0, 1, 2)}) == 3
+        assert shared[1] == shared[3] == shared[5] == shared[9]
+        assert "--frobnicate" in shared[4][2]
+        assert shared[6][1].startswith("usage: acigb")
+        assert shared[7][1].startswith("usage: acigb gb")
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        main(self.GB)
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for argv in (self.GB, ["crit", "--m", "3,3", "--k", "2"], self.GB):
+            assert main(argv) == 0
+        assert built == []
+        assert cli_module.build_parser() is cli_module.build_parser()
+        # the counter sees a build: one parser and one per subcommand
+        cli_module.build_parser.__wrapped__()
+        assert len(built) == 1 + len(SUBCOMMANDS)
+
+    def test_help_follows_the_terminal_width(self, capsys, monkeypatch):
+        fresh = cli_module.build_parser.__wrapped__
+        outputs = []
+        for columns in ("40", "120"):
+            monkeypatch.setenv("COLUMNS", columns)
+            shared = run_captured(["gb", "--help"], capsys)
+            with monkeypatch.context() as patch:
+                patch.setattr(cli_module, "build_parser", fresh)
+                assert run_captured(["gb", "--help"], capsys) == shared
+            outputs.append(shared[1])
+        narrow, wide = outputs
+        assert narrow != wide
+        assert max(map(len, narrow.splitlines())) <= 40 < max(map(len, wide.splitlines()))
 
 
 class TestExitCodes:
