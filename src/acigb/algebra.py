@@ -263,6 +263,11 @@ class TermOrder:
         # the default ranking needs no permutation, which keeps key() cheap
         identity = self.ranking == tuple(range(1, len(self.ranking) + 1))
         object.__setattr__(self, "_identity", identity)
+        # positions of the ranked exponents, lowest-ranked first for grevlex
+        ranked = [r - 1 for r in self.ranking]
+        if self.kind == "grevlex":
+            ranked.reverse()
+        object.__setattr__(self, "_ranked", operator.itemgetter(*ranked) if ranked else None)
 
     @property
     def n(self) -> int:
@@ -277,6 +282,18 @@ class TermOrder:
         if self.kind == "grevlex":
             return (sum(perm), tuple(map(operator.neg, reversed(perm))))
         return (sum(perm), tuple(perm))
+
+    def descending(self, monos) -> list:
+        """The monomials sorted from highest to lowest, as
+        ``sorted(monos, key=self.key, reverse=True)`` sorts them, by two
+        stable sorts on C-level keys: the ranked exponents (grevlex ascending
+        from the last variable, grlex descending from the first), then the
+        degree, descending."""
+        if self._ranked is None:
+            return list(monos)  # n = 0: only the unit monomial exists
+        out = sorted(monos, key=self._ranked, reverse=self.kind == "grlex")
+        out.sort(key=sum, reverse=True)
+        return out
 
 
 def grevlex(n: int) -> TermOrder:
@@ -598,7 +615,7 @@ def poly_to_text(f: SparsePoly, order: TermOrder) -> str:
     """Human-readable infix form, terms sorted descending in the order."""
     if f.is_zero():
         return "0"
-    monos = sorted(f.terms, key=order.key, reverse=True)
+    monos = order.descending(f.terms)
     pieces = []
     for i, mono in enumerate(monos):
         c = f.terms[mono]
@@ -631,7 +648,7 @@ def poly_to_json(f: SparsePoly, order: TermOrder, indent: str) -> str:
     sep, tail, terms = ",\n" + i8, f'"\n{i4}}}', f.terms
     body = ",\n".join([
         f"{head}{sep.join(map(str, m))}{mid}{terms[m]}{tail}"
-        for m in sorted(terms, key=order.key, reverse=True)
+        for m in order.descending(terms)
     ])
     listing = f"[\n{body}\n{i2}]" if terms else "[]"
     return f'{{\n{i2}"n": {f.n},\n{i2}"terms": {listing}\n{indent}}}'

@@ -88,6 +88,11 @@ def _tail_terms(e: int, caps: tuple) -> tuple:
     return tuple((comp, prod(map(factorial, comp))) for comp in compositions(e, caps))
 
 
+# Fractions are immutable, so terms can share one per (num, den): a basis has
+# few distinct pairs (16 over the 30,366 terms of (3,)*9, k = 3)
+_fraction = lru_cache(maxsize=4096)(Fraction)
+
+
 def build_gs_divisor_form(s, j: int, m, k: int, n_total: int) -> SparsePoly:
     """Basis element for s as a divisor sum.
 
@@ -107,7 +112,7 @@ def build_gs_divisor_form(s, j: int, m, k: int, n_total: int) -> SparsePoly:
     # numerator is positive, so no coefficient is 0
     for sdd, e, num in _divisor_numerators(s, j, m, sum(caps)):
         for comp, den in _tail_terms(e, caps):
-            terms[sdd + comp] = Fraction(num, den)
+            terms[sdd + comp] = _fraction(num, den)
     return SparsePoly(n_total, QQ, terms)
 
 
@@ -282,8 +287,7 @@ class GroebnerBasis:
     def initial_ideal(self) -> MonomialIdeal:
         """The ideal of the leading monomials, generators grevlex-descending;
         a reduced basis has minimal leading monomials, which the ideal checks."""
-        key = grevlex(self.n).key
-        return MonomialIdeal(self.n, tuple(sorted(self.leads, key=key, reverse=True)))
+        return MonomialIdeal(self.n, tuple(grevlex(self.n).descending(self.leads)))
 
     def fingerprint(self) -> frozenset:
         """Marked basis: each element together with its leading monomial.

@@ -5,7 +5,11 @@ order ranking x_1 > ... > x_n is generated by the surviving pure powers plus
 the critical monomials, grouped by their largest variable. Three independent
 constructions are provided: a level recursion (the production route), the
 direct degree-equation formula, and a brute-force lattice-path enumerator;
-tests keep all three in agreement.
+tests keep all three in agreement.  The level recursion uses only that the
+standard monomials form an order ideal: it carries the standard monomials of
+each prefix x_1..x_j grouped by degree, and whether an extension by x_j
+leaves the quotient depends only on the degree, so it runs no divisibility
+test.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ def minimalize_monomials(gens) -> tuple:
         if not packed_divides_any(packed, p, guard):
             keep.append(g)
             packed.append(p)
-    return tuple(sorted(keep, key=grevlex(n).key, reverse=True))
+    return tuple(grevlex(n).descending(keep))
 
 
 @dataclass(frozen=True)
@@ -116,8 +120,8 @@ class CriticalSets:
     pure_powers: tuple = field(init=False)
 
     def __post_init__(self):
-        key = grevlex(self.n).key
-        groups = tuple(tuple(sorted(g, key=key, reverse=True)) for g in self.by_index)
+        descending = grevlex(self.n).descending
+        groups = tuple(tuple(descending(g)) for g in self.by_index)
         pure = tuple(
             (0,) * (j - 1) + (mj,) + (0,) * (self.n - j)
             for j, mj in enumerate(self.m, start=1)
@@ -129,41 +133,58 @@ class CriticalSets:
     def generators(self) -> tuple:
         """Every minimal generator, sorted grevlex-descending."""
         out = [s for group in self.by_index for s in group] + list(self.pure_powers)
-        return tuple(sorted(out, key=grevlex(self.n).key, reverse=True))
+        return tuple(grevlex(self.n).descending(out))
 
 
 def critical_sets(n: int, m, k: int) -> CriticalSets:
     """Level recursion: a critical monomial with largest variable j is w*x_j^e
-    where w avoids the level j-1 ideal and e = k + D_{j-1} - 2*deg(w)."""
+    where w is standard at level j - 1 (m-free in x_1..x_{j-1} and outside
+    the ideal of the earlier levels) and e = k + D_{j-1} - 2*deg(w), with
+    1 <= e <= m_j - 1, which pins deg(w) to a window [lo_j, hi_j].
+
+    The standard monomials are kept grouped by degree, and no divisibility
+    test is run.  Every divisor of a standard monomial is standard, so a
+    standard w' of degree d has standard divisors of every degree up to d;
+    e falls as deg(w) rises, so w'*x_j^a (a < m_j) lies in the level-j
+    ideal iff d >= lo_j and a >= e(min(d, hi_j)).  Only the degrees that a
+    later window can still reach are kept.
+    """
     m = check_degree_vector(m, n)
     check_power(k)
-    by_index = []
-    # Minimal generators at the current prefix length, packed with the first
-    # variable lowest, so padding a generator with a zero exponent keeps its
-    # value; max(m) bounds every generator exponent.  They stay an antichain
-    # without a divisibility pass: the old ones have x_j-exponent 0, each
-    # new w*x_j^e has w outside them, a larger deg(w) forces a smaller e,
-    # and x_j^{m_j} is kept only when no x_j^e is critical.
-    cap = max(m, default=0)
-    width, guard = packing(n, cap)
-    gens: list = []
-    d_prev = 0
+    # D[j] = sum of m_i - 1 over i <= j; window j is empty when lo > hi
+    D = [0]
+    for mj in m:
+        D.append(D[-1] + mj - 1)
+    windows = [
+        (max(0, -(-(k + D[j - 1] - m[j - 1] + 1) // 2)), (k + D[j - 1] - 1) // 2)
+        for j in range(1, n + 1)
+    ]
+    by_index: list = [[] for _ in range(n)]
+    std = {0: [()]}  # level 0: the unit monomial
     for j in range(1, n + 1):
-        mj = m[j - 1]
-        crit_j = []
-        # exponent window 1 <= e <= m_j - 1 pins deg(w) to a short range
-        lo = max(0, -(-(k + d_prev - mj + 1) // 2))
-        hi = (k + d_prev - 1) // 2
+        lo, hi = windows[j - 1]
+        e0 = k + D[j - 1]
         for dw in range(lo, hi + 1):
-            e = k + d_prev - 2 * dw
-            for w in enumerate_m_free(j - 1, m[: j - 1], dw):
-                if not packed_divides_any(gens, mono_pack(w, width, cap), guard):
-                    crit_j.append(w + (e,))
-        if not pure_power_removed(m, k, j):
-            gens.append(mono_pack((0,) * (j - 1) + (mj,), width, cap))
-        gens.extend(mono_pack(s, width, cap) for s in crit_j)
-        by_index.append([s + (0,) * (n - j) for s in crit_j])
-        d_prev += mj - 1
+            pad = (e0 - 2 * dw,) + (0,) * (n - j)
+            by_index[j - 1].extend([w + pad for w in std.get(dw, ())])
+        # a degree d here grows to at most d + D[i-1] - D[j] before level i
+        later = [
+            (lo_i - D[i - 1] + D[j], hi_i)
+            for i, (lo_i, hi_i) in enumerate(windows[j:], start=j + 1)
+            if lo_i <= hi_i
+        ]
+        if not later:
+            break
+        keep_lo = min(low for low, _ in later)
+        keep_hi = max(high for _, high in later)
+        nxt: dict = {}
+        for d, ws in std.items():
+            # an empty window (lo > hi) has m_j = 2 = e(hi), so top = m_j
+            top = m[j - 1] if d < lo else e0 - 2 * min(d, hi)
+            for a in range(max(0, keep_lo - d), min(top, keep_hi - d + 1)):
+                tail = (a,)
+                nxt.setdefault(d + a, []).extend([w + tail for w in ws])
+        std = nxt
     return CriticalSets(n, m, k, by_index)
 
 

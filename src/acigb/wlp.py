@@ -147,8 +147,8 @@ def _run_initial_ideal(n: int, m: tuple, p: int) -> RouteFinding:
     rational = set(minimal_generators(n, m, 1).min_gens)
     if modular == rational:
         return RouteFinding("initial-ideal", True, None)
-    only_rat = tuple(sorted(rational - modular, key=order.key, reverse=True))
-    only_mod = tuple(sorted(modular - rational, key=order.key, reverse=True))
+    only_rat = tuple(order.descending(rational - modular))
+    only_mod = tuple(order.descending(modular - rational))
     return RouteFinding("initial-ideal", False, (only_rat, only_mod))
 
 

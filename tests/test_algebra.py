@@ -113,6 +113,30 @@ class TestOrders:
         for o in (grevlex(3), grlex(3)):
             assert sign(o, mono_mul(a, u), mono_mul(b, u)) == sign(o, a, b)
 
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda n: st.tuples(
+                st.sampled_from(["grevlex", "grlex"]),
+                st.permutations(range(1, n + 1)),
+                # mixed degrees; the list may repeat a monomial
+                st.lists(st.tuples(*([st.integers(0, 4)] * n)), max_size=30),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_descending_matches_sorted_by_key(self, case):
+        kind, ranking, monos = case
+        o = TermOrder(kind, tuple(ranking))
+        want = sorted(monos, key=o.key, reverse=True)
+        assert o.descending(monos) == want
+        assert o.descending(set(monos)) == sorted(set(monos), key=o.key, reverse=True)
+
+    def test_descending_in_one_and_no_variables(self):
+        for kind in ("grevlex", "grlex"):
+            assert TermOrder(kind, (1,)).descending([(1,), (3,), (0,)]) == [(3,), (1,), (0,)]
+            assert TermOrder(kind, ()).descending({(): 1}) == [()]
+            assert TermOrder(kind, ()).descending([]) == []
+
     @given(monos3, monos3, monos3)
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_total_order_laws(self, a, b, c):

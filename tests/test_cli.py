@@ -193,6 +193,11 @@ PINNED_DIGESTS = [
      "e4ae814dc0424f8bf24380ecfa5c551614cd0b08ed281af735432827720c1d43"),
     (["render", "--m", "3,2,2,3", "--k", "2", "--s", "2,0,0,0", "--reflect", "--format", "svg"],
      "d815472efcb7d261f1d3859955a4bb3e2fb9bdad9d0bb214a64d24b9650e029c"),
+    # large critical sets: 6,786 and 11,277 critical monomials
+    (["crit", "--m", "eq:3:12", "--k", "3", "--format", "json"],
+     "ce8e8ce6f7443dbbf74f10547720c3417cdfbc453a455bda9cb596a42253a8b3"),
+    (["crit", "--m", "4,4,4,4,4,4,4,4,4,4", "--k", "14", "--format", "json"],
+     "8c2d5a328234347be941b793f105371e10a9015cd2cc658aade250f5dcf3bc15"),
 ]
 
 

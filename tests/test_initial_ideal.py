@@ -37,6 +37,16 @@ def small_grid():
             yield len(m), m, k
 
 
+def random_grid(count=120, seed=24):
+    """Seeded cases past small_grid: n <= 7, m_i in 2..6, and k from 1 to
+    D + 2, D the socle degree, so some k lie past the socle."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        m = tuple(rng.randint(2, 6) for _ in range(n))
+        yield n, m, rng.randint(1, sum(m) - n + 2)
+
+
 class TestEnumeration:
     def test_socle_monomial_unique(self):
         assert enumerate_m_free(4, (3, 2, 2, 3), 6) == [(2, 1, 1, 2)]
@@ -177,6 +187,27 @@ class TestCriticalSets:
             c = critical_sets_paths(n, m, k)
             assert a == b == c, (n, m, k)
             assert reduced_gb(n, m, k).initial_ideal() == minimal_generators(n, m, k)
+
+    def test_routes_agree_on_a_random_grid(self):
+        for n, m, k in random_grid():
+            a = critical_sets(n, m, k)
+            assert a == critical_sets_formula(n, m, k), (n, m, k)
+            assert a == critical_sets_paths(n, m, k), (n, m, k)
+
+    def test_level_recursion_runs_no_divisibility_test(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("critical_sets reached a divisibility helper")
+
+        for name in ("packed_divides_any", "mono_pack", "enumerate_m_free"):
+            monkeypatch.setattr(f"acigb.initial_ideal.{name}", refuse)
+        assert sum(map(len, critical_sets(6, (3, 4, 2, 3, 4, 2), 5).by_index)) > 0
+
+    def test_power_past_the_socle_keeps_nothing_critical(self):
+        # (3,)*12 has socle degree 24; without pruning the standard
+        # monomials below the later windows, k = 30 would build the full box
+        crit = critical_sets(12, (3,) * 12, 30)
+        assert crit.by_index == ((),) * 12
+        assert len(crit.pure_powers) == 12
 
     def test_groups_sorted_and_pure_powers_derived(self):
         # a route hands over its groups in any order; the sets own both the
