@@ -286,7 +286,7 @@ class GroebnerBasis:
 
     def initial_ideal(self) -> MonomialIdeal:
         """The ideal of the leading monomials, generators grevlex-descending;
-        a reduced basis has minimal leading monomials, which the ideal checks."""
+        the basis's producer, not the ideal, makes the leads minimal."""
         return MonomialIdeal(self.n, tuple(grevlex(self.n).descending(self.leads)))
 
     def fingerprint(self) -> frozenset:

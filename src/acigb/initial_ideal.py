@@ -51,7 +51,10 @@ def minimalize_monomials(gens) -> tuple:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal carried by its minimal generators (an antichain).
+    """A monomial ideal carried by its minimal generators, an antichain the
+    caller passes unchecked: ``minimal_generators`` (the level recursion) and
+    ``closed_form.GroebnerBasis.initial_ideal`` (leads minimal in the closed
+    form or by ``oracle._interreduce``) are its only producers.
 
     The generators are also kept packed (``algebra.packing``), with the cap
     at their largest exponent, so each divisibility test is one integer
@@ -72,20 +75,6 @@ class MonomialIdeal:
         cap = max((max(g, default=0) for g in self.min_gens), default=0)
         width, guard = packing(self.n, cap)
         packed = tuple(mono_pack(g, width, cap) for g in self.min_gens)
-        # no exponent exceeds the cap, so packing is one-to-one on generators
-        if len(set(packed)) != len(packed):
-            raise ValueError("generators are not an antichain")
-        # a proper divisor has lower degree, so each generator is tested
-        # only against the generators of strictly lower degree
-        by_degree: dict = {}
-        for g, p in zip(self.min_gens, packed):
-            by_degree.setdefault(sum(g), []).append(p)
-        lower: list = []
-        for d in sorted(by_degree):
-            for p in by_degree[d]:
-                if packed_divides_any(lower, p, guard):
-                    raise ValueError("generators are not an antichain")
-            lower.extend(by_degree[d])
         object.__setattr__(self, "_width", width)
         object.__setattr__(self, "_cap", cap)
         object.__setattr__(self, "_guard", guard)
@@ -189,14 +178,8 @@ def critical_sets(n: int, m, k: int) -> CriticalSets:
 
 
 def minimal_generators(n: int, m, k: int) -> MonomialIdeal:
-    """Kept pure powers plus critical monomials, as a minimal antichain."""
-    try:
-        return MonomialIdeal(n, critical_sets(n, m, k).generators())
-    except ValueError:
-        # the union is itself minimal; a divisibility means a construction bug
-        raise RuntimeError(
-            f"generator union not minimal for n={n} m={m} k={k}"
-        ) from None
+    """Kept pure powers plus critical monomials, an antichain by construction."""
+    return MonomialIdeal(n, critical_sets(n, m, k).generators())
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,8 @@ def wlp_decide(n: int, m, p: int, routes=None) -> WlpVerdict:
     leaves the property intact is legitimate outside five or more equal
     exponents and is returned with an explanation instead.
     """
+    if n < 1:
+        raise ValueError(f"wlp needs at least one variable, got n={n} (--n or --m)")
     mm = check_degree_vector((m,) * n if isinstance(m, int) else m, n)
     if not is_prime(p):
         raise ValueError("characteristic must be prime")

@@ -1,7 +1,11 @@
 """References shared by more than one test module, as fixtures: the test
 modules are not a package and do not import each other."""
 
+import itertools
+
 import pytest
+
+from acigb.algebra import mono_divides
 
 
 @pytest.fixture(scope="session")
@@ -17,3 +21,17 @@ def reference_tree():
         }
 
     return tree
+
+
+@pytest.fixture(scope="session")
+def assert_antichain():
+    """Asserts that no generator repeats or divides another, by plain
+    exponent comparison; a divisor of b other than b has lower degree, so
+    each pair is tested once, the lower degree first."""
+
+    def check(gens, case) -> None:
+        assert len(set(gens)) == len(gens), case
+        for a, b in itertools.combinations(sorted(gens, key=sum), 2):
+            assert not mono_divides(a, b), (case, a, b)
+
+    return check

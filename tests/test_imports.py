@@ -1,9 +1,10 @@
 """The modules of the package import each other without a cycle, none of
 them computes with floats, no module of the package or the tests imports a
-name it never reads, and the CLI starts without the process pool.
+name it never reads, only the two antichain producers build a
+``MonomialIdeal``, and the CLI starts without the process pool.
 
-Imports are read from the source with ``ast``, so an import inside a
-function body counts as much as one at module level.
+Imports and calls are read from the source with ``ast``, so an import
+inside a function body counts as much as one at module level.
 """
 
 import ast
@@ -152,6 +153,55 @@ def test_no_unused_imports():
         if (names := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+def call_sites(source: str, name: str) -> list:
+    """Where a source calls ``name(...)`` or ``anything.name(...)``: the
+    qualified name of the enclosing function (``Class.method`` for a
+    method), or ``<module>`` outside any function."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and name in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                sites.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sites
+
+
+def test_call_site_reader_sees_every_form():
+    source = (
+        "x = MonomialIdeal(1, ())\n"
+        "def f():\n"
+        "    return initial_ideal.MonomialIdeal(1, ())\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        return [MonomialIdeal(n, ()) for n in (1, 2)]\n"
+        "def h(MonomialIdeal):\n"
+        "    return MonomialIdeal\n"
+    )
+    assert call_sites(source, "MonomialIdeal") == ["<module>", "f", "C.g"]
+
+
+def test_monomial_ideals_come_only_from_the_antichain_producers():
+    # MonomialIdeal takes its generators unchecked, and the antichain tests
+    # cover these two producers; a third would skip them
+    found = sorted(
+        f"{path.stem}.{site}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in call_sites(path.read_text(), "MonomialIdeal")
+    )
+    assert found == [
+        "closed_form.GroebnerBasis.initial_ideal",
+        "initial_ideal.minimal_generators",
+    ]
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from acigb import wlp as wlp_module
-from acigb.algebra import clear_denominators, grevlex
+from acigb.algebra import clear_denominators, grevlex, grlex
+from acigb.cli import main
 from acigb.closed_form import reduced_gb
 from acigb.hilbert import hf, hs_complete_intersection
 from acigb.initial_ideal import minimal_generators
@@ -195,6 +196,28 @@ class TestModularInitialIdeal:
             gens = modular_initial_ideal(n, m, k, p).min_gens
             assert max(sum(g) for g in gens) <= top + 1, (n, m, k, p)
 
+    def test_generators_form_an_antichain(self, assert_antichain):
+        # MonomialIdeal takes its generators unchecked, so only the oracle's
+        # _interreduce makes these minimal; the cases are the pinned ones
+        # whose modular ideal differs from the rational one
+        differ = [
+            (5, MIXED, 1, 3),
+            (5, (2,) * 5, 1, 2),
+            (5, (2,) * 5, 1, 3),
+            (2, (3, 3), 2, 3),
+            (3, (3, 3, 3), 1, 3),
+            (4, (2, 2, 2, 2), 1, 2),
+            (4, (3, 2, 2, 3), 2, 3),
+        ]
+        for n, m, k, p in differ:
+            gens = modular_initial_ideal(n, m, k, p).min_gens
+            assert set(gens) != set(minimal_generators(n, m, k).min_gens)
+            assert_antichain(gens, (n, m, k, p))
+        # and over Q, once per graded order
+        for order in (grevlex(4), grlex(4)):
+            gens = initial_ideal_oracle(4, (3, 2, 2, 3), 2, OracleConfig(order)).min_gens
+            assert_antichain(gens, order)
+
 
 class TestRankScan:
     def test_lower_half_scan_matches_full_scan(self):
@@ -307,6 +330,19 @@ class TestWlpDecide:
             wlp_decide(5, 2, 4)
         with pytest.raises(ValueError):
             wlp_decide(3, (2, 2), 5)
+
+    def test_no_variables_refused_naming_the_flags(self, capsys):
+        # refused up front: the initial-ideal route would fail inside
+        # linear_power with a message that names no flag
+        with pytest.raises(ValueError, match="--n or --m"):
+            wlp_decide(0, (), 5)
+        for argv in (["--m", "eq:3:0"], ["--n", "0", "--m", "3"]):
+            assert main(["wlp", *argv, "--p", "5"]) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: wlp needs at least one variable, got n=0 (--n or --m)\n"
+            )
 
     def test_disagreement_aborts(self, monkeypatch):
         monkeypatch.setitem(
