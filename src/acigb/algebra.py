@@ -10,6 +10,7 @@ is exact; floats never appear.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from dataclasses import dataclass
@@ -544,14 +545,27 @@ def reduce_full(f: PackedPoly, table: list) -> PackedPoly:
     normal form times a positive integer.  The first entry whose lead
     divides the largest term reduces it, and the term c * (q * g_t) of the
     step has key key(g_t) + key(q * lm) - key(lm).
+
+    The largest term comes off a heap of negated keys (the heap of Monagan
+    and Pearce, CASC 2007) with lazy deletion: a key is pushed when it enters
+    the work, and a popped key that has cancelled since is skipped.  A key
+    that cancels and comes back is pushed again.  A step only adds keys below
+    the one it reduces, so a handled key never comes back and its second
+    copy is skipped too.  Rescaling over Q keeps the keys, so the heap stays
+    valid.
     """
     layout, p = f.layout, f.field.p
     guard, sign = layout.guard, layout.sign
+    push, pop = heapq.heappush, heapq.heappop
     work = dict(f.terms)
+    heap = [-t for t in work]
+    heapq.heapify(heap)
     remainder: dict = {}
-    while work:
-        key = max(work)
-        c = work.pop(key)
+    while heap:
+        key = -pop(heap)
+        c = work.pop(key, None)
+        if c is None:
+            continue
         b = sign * key
         for code, lead, lc, tail in table:
             if (code - b) & guard == guard:
@@ -569,7 +583,11 @@ def reduce_full(f: PackedPoly, table: list) -> PackedPoly:
         shift = key - lead
         for t, v in tail:
             t += shift
-            acc = work.get(t, 0) - c * v
+            old = work.get(t)
+            if old is None:
+                push(heap, -t)
+                old = 0
+            acc = old - c * v
             if p:
                 acc %= p
             if acc:

@@ -15,6 +15,7 @@ returns ``SparsePoly`` polynomials.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -275,15 +276,28 @@ def gaussian_rank(rows: list, p: int) -> int:
     return len(pivots)
 
 
+@functools.lru_cache(maxsize=2)
+def _m_free_level(n: int, m: tuple, d: int) -> tuple:
+    """The m-free monomials of degree d and their column indices, as
+    (``enumerate_m_free(n, m, d)``, {monomial: index}).  The last two levels
+    are cached and shared, so callers only read them."""
+    monos = enumerate_m_free(n, m, d)
+    return monos, {mono: idx for idx, mono in enumerate(monos)}
+
+
 def multiplication_rank(n: int, m, p: int, d: int, e: int = 1) -> int:
     """Rank over F_p of multiplying degree-d classes of the pure-power
-    quotient by (x_1 + ... + x_n)^e."""
+    quotient by (x_1 + ... + x_n)^e.
+
+    Both levels come from ``_m_free_level``, which keeps the last two: for
+    e = 1 the target of degree d is the source of degree d + 1, so a scan
+    over consecutive degrees builds each level once."""
     if e < 1:
         raise ValueError(f"multiplier power must be at least 1, got {e}")
     m = check_degree_vector(m)
     field = Field(p)
-    source = enumerate_m_free(n, m, d)
-    col = {mono: idx for idx, mono in enumerate(enumerate_m_free(n, m, d + e))}
+    source = _m_free_level(n, m, d)[0]
+    col = _m_free_level(n, m, d + e)[1]
     # ell^e has about e^(n-1) terms whatever the degrees: build it only for a
     # map with a source and a target
     if not source or not col:

@@ -439,32 +439,37 @@ class TestNormalForms:
 
     def test_reduce_full_matches_division_in_the_field(self):
         # denominators in f and in the reducers, non-unit leading
-        # coefficients and a zero reducer, in both coefficient fields
+        # coefficients and a zero reducer, in both coefficient fields; up to
+        # five variables and forty terms, so the work holds up to 40 keys
         rng = random.Random(12)
         for trial in range(300):
             field = (QQ, Field(7))[trial % 2]
-            n = rng.randint(2, 3)
+            n = rng.randint(2, 5)
             ranking = tuple(rng.sample(range(1, n + 1), n))
             o = TermOrder(rng.choice(("grevlex", "grlex")), ranking)
-            f = random_poly(rng, n, field, rng.randint(1, 8))
+            f = random_poly(rng, n, field, rng.randint(1, 40))
             reducers = [
-                random_poly(rng, n, field, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))
+                random_poly(rng, n, field, rng.randint(1, 4)) for _ in range(rng.randint(1, 4))
             ]
             reducers.insert(rng.randint(0, len(reducers)), SparsePoly.zero(n, field))
             x1, x2 = (1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2)
             reducers.append(P(n, [(x1, 2), (x2, 3)], field))
-            want = reference_reduce_full(f, reducers, o).terms
-            layout = PackedLayout(o, max(g.degree() for g in [f] + reducers))
-            got = unpacked(reduce_full(pack_poly(f, layout), lead_table(reducers, layout)))
-            if field is QQ:
-                # a positive integer multiple of the normal form, in ints
-                assert got.keys() == want.keys(), (f, reducers, o)
-                scales = {c / want[mono] for mono, c in got.items()}
-                assert len(scales) <= 1, (f, reducers, o)
-                assert all(s > 0 and s.denominator == 1 for s in scales), (f, reducers, o)
-                assert all(type(c) is int for c in got.values())
-            else:
-                assert got == want, (f, reducers, o)
+            assert_reduces_as_division(f, reducers, o)
+
+    def test_reduce_full_term_that_cancels_and_comes_back(self):
+        # x^2 > xy > y^2 > xz > yz in grevlex.  Reducing x^2 by x^2 + yz
+        # cancels yz; xy and y^2 go to the remainder; reducing xz by
+        # 2 xz + 3 yz brings yz back, and over Q first scales the work and
+        # the remainder by 2.  The normal form is xy + y^2 - 3/2 yz.
+        o = grevlex(3)
+        x2, xy, y2, xz, yz = (2, 0, 0), (1, 1, 0), (0, 2, 0), (1, 0, 1), (0, 1, 1)
+        for field, want in ((QQ, {xy: 2, y2: 2, yz: -3}), (Field(7), {xy: 1, y2: 1, yz: 2})):
+            f = P(3, [(x2, 1), (xy, 1), (y2, 1), (xz, 1), (yz, 1)], field)
+            reducers = [P(3, [(x2, 1), (yz, 1)], field), P(3, [(xz, 2), (yz, 3)], field)]
+            layout = PackedLayout(o, 2)
+            got = reduce_full(pack_poly(f, layout), lead_table(reducers, layout))
+            assert unpacked(got) == want
+            assert_reduces_as_division(f, reducers, o)
 
     def test_clear_denominators(self):
         f = P(2, [((1, 0), Fraction(1, 2)), ((0, 1), Fraction(1, 3))])
@@ -475,6 +480,22 @@ class TestNormalForms:
         f = P(2, [((1, 0), Fraction(-4)), ((0, 1), Fraction(-6))])
         g = clear_denominators(f)
         assert g.terms == {(1, 0): Fraction(2), (0, 1): Fraction(3)}
+
+
+def assert_reduces_as_division(f, reducers, o):
+    """``reduce_full`` gives ``reference_reduce_full``'s normal form: over F_p
+    exactly, over Q a positive integer multiple of it in ints."""
+    want = reference_reduce_full(f, reducers, o).terms
+    layout = PackedLayout(o, max(g.degree() for g in [f] + reducers))
+    got = unpacked(reduce_full(pack_poly(f, layout), lead_table(reducers, layout)))
+    if f.field.p is None:
+        assert got.keys() == want.keys(), (f, reducers, o)
+        scales = {c / want[mono] for mono, c in got.items()}
+        assert len(scales) <= 1, (f, reducers, o)
+        assert all(s > 0 and s.denominator == 1 for s in scales), (f, reducers, o)
+        assert all(type(c) is int for c in got.values())
+    else:
+        assert got == want, (f, reducers, o)
 
 
 def random_poly(rng, n, field, count):

@@ -186,6 +186,16 @@ class TestCertificate:
                 cert = build_certificate(s, m, k)
                 assert verify_certificate(cert, m), (n, m, k, s)
 
+    def test_lower_index_generators_on_grid(self):
+        # a generator of index j < n lives in x_1..x_j: its certificate is
+        # built in the frame of its first j variables
+        for n, m, k in crit_grid():
+            crit = critical_sets(n, m, k)
+            for j in range(2, n):
+                for s in crit.by_index[j - 1]:
+                    cert = build_certificate(s[:j], m[:j], k)
+                    assert verify_certificate(cert, m[:j]), (n, m, k, j, s)
+
     def test_rejects_power_exceeding_degree(self):
         with pytest.raises(ValueError):
             build_certificate((0, 1, 1, 2), (3, 2, 2, 3), 9)

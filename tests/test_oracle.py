@@ -13,6 +13,7 @@ from acigb.algebra import (
     PackedLayout,
     SparsePoly,
     TermOrder,
+    compositions,
     enumerate_m_free,
     grevlex,
     grlex,
@@ -21,6 +22,7 @@ from acigb.algebra import (
     poly_to_text,
 )
 from acigb import oracle
+from acigb.cli import main
 from acigb.closed_form import reduced_gb
 from acigb.hilbert import hf, hs_complete_intersection, truncate_lefschetz
 from acigb.initial_ideal import hf_quotient, minimal_generators
@@ -35,6 +37,7 @@ from acigb.oracle import (
     spoly,
     verify_is_gb,
 )
+from acigb.wlp import wlp_decide
 
 GOLDEN = (4, (3, 2, 2, 3), 2)
 
@@ -467,7 +470,6 @@ class TestGaussianRank:
                 gaussian_rank(sparse([[1, 0], [0, 1]]), p)
 
     def test_multiplication_rank_matches_a_dense_build(self):
-        # the map built densely here, without linear_power or a column map
         for n, m, p in (((3, (3, 3, 3), 5), (4, (2, 3, 2, 4), 3),
                          (2, (4, 5), 2), (5, (2,) * 5, 2))):
             top = sum(mi - 1 for mi in m)
@@ -475,13 +477,82 @@ class TestGaussianRank:
                 # d = -1 has no source monomial, and from top - e + 1 on the
                 # target lies beyond the socle
                 for d in range(-1, top + 1):
-                    target = enumerate_m_free(n, m, d + e)
-                    dense = [
-                        [multinomial_entry(u, t, e) for t in target]
-                        for u in enumerate_m_free(n, m, d)
-                    ]
-                    want = gaussian_rank(sparse(dense), p)
-                    assert multiplication_rank(n, m, p, d, e) == want, (n, m, p, d, e)
+                    assert multiplication_rank(n, m, p, d, e) == dense_rank(n, m, p, d, e), (
+                        n, m, p, d, e)
+
+
+def dense_rank(n, m, p, d, e):
+    """Rank of the map built densely, without linear_power, a column map or
+    the level cache."""
+    target = list(compositions(d + e, [mi - 1 for mi in m]))
+    dense = [
+        [multinomial_entry(u, t, e) for t in target]
+        for u in compositions(d, [mi - 1 for mi in m])
+    ]
+    return gaussian_rank(sparse(dense), p)
+
+
+class TestLevelCache:
+    """``multiplication_rank`` takes both levels from ``_m_free_level``,
+    which keeps the last two it built."""
+
+    def test_any_sequence_of_calls_matches_a_dense_build(self):
+        a, b = (3, (3, 3, 3), 5), (4, (2, 3, 2, 4), 3)
+        calls = (
+            # degrees up, as the wlp scan runs, then down, then repeated
+            [a + (d, 1) for d in range(6)]
+            + [a + (d, 1) for d in range(6, -2, -1)]
+            + [a + (2, 1)] * 3
+            # the same source with other powers, and another prime
+            + [a + (1, e) for e in (1, 2, 3, 1)]
+            + [(3, (3, 3, 3), 2, d, 1) for d in range(4)]
+            # two quotients interleaved, in different and in equal n
+            + [c + (d, e) for d in range(5) for c in (a, b) for e in (1, 2)]
+            + [c + (d, 1) for d in range(4) for c in (a, (3, (2, 3, 4), 7))]
+            + [(2, (4, 5), 7, 3, 1), b + (3, 1), (2, (4, 5), 7, 3, 1)]
+        )
+        for n, m, p, d, e in calls:
+            assert multiplication_rank(n, m, p, d, e) == dense_rank(n, m, p, d, e), (
+                n, m, p, d, e)
+            assert oracle._m_free_level.cache_info().currsize <= 2
+
+    def test_cached_levels_are_left_unchanged(self):
+        n, m, p = 6, (2, 3, 3, 3, 4, 4), 5
+        oracle._m_free_level.cache_clear()
+        first = [oracle._m_free_level(n, m, d) for d in (0, 1)]
+        copies = [(list(monos), dict(col)) for monos, col in first]
+        verdict = wlp_decide(n, m, p)
+        # the scan began on these two levels, so it read them from the cache
+        assert oracle._m_free_level.cache_info().hits >= 2
+        for (monos, col), (monos0, col0) in zip(first, copies):
+            assert monos == monos0 and col == col0
+        # and it stopped at its witness, so it ended on degrees 4 and 5
+        assert verdict.witness[0] == 4
+        for d in (4, 5):
+            hits = oracle._m_free_level.cache_info().hits
+            monos, col = oracle._m_free_level(n, m, d)
+            assert oracle._m_free_level.cache_info().hits == hits + 1
+            assert monos == enumerate_m_free(n, m, d)
+            assert col == {mono: idx for idx, mono in enumerate(monos)}
+
+    def test_rank_after_wlp_writes_the_bytes_of_rank_alone(self, capsys):
+        wlp = ["wlp", "--n", "6", "--m", "2,3,3,3,4,4", "--p", "5"]
+        # the wlp scan stops at its witness, degree 4: it ends on degrees 4
+        # and 5, and the first of these reads both from the cache
+        ranks = [
+            ["rank", "--n", "6", "--m", "2,3,3,3,4,4", "--p", "5", "--d", str(d), "--e", str(e)]
+            for d, e in ((4, 1), (3, 2), (5, 1), (2, 1))
+        ]
+        for fmt in ("text", "json"):
+            for argv in ranks:
+                oracle._m_free_level.cache_clear()
+                assert main(argv + ["--format", fmt]) == 0
+                alone = capsys.readouterr().out
+                oracle._m_free_level.cache_clear()
+                assert main(wlp) == 0
+                capsys.readouterr()
+                assert main(argv + ["--format", fmt]) == 0
+                assert capsys.readouterr().out == alone, argv
 
 
 class TestSpoly:
