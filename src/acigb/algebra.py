@@ -186,13 +186,11 @@ def is_m_free(mono: Mono, m: tuple) -> bool:
 def check_degree_vector(m: Iterable[int], n: int | None = None) -> tuple:
     """m as a tuple of ints, each at least 2, and of length n when n is
     given."""
-    m = tuple(int(v) for v in m)
-    for i, v in enumerate(m, start=1):
-        if v < 2:
-            # the first bad entry only: the vector may hold millions
-            raise ValueError(
-                f"degree vector entries must be >= 2, got {v} at position {i}"
-            )
+    m = tuple(map(int, m))
+    if m and min(m) < 2:
+        # the first bad entry only: the vector may hold millions
+        i, v = next((i, v) for i, v in enumerate(m, start=1) if v < 2)
+        raise ValueError(f"degree vector entries must be >= 2, got {v} at position {i}")
     if n is not None and len(m) != n:
         raise ValueError("degree vector length must equal n")
     return m

@@ -20,7 +20,8 @@ the length.  A JSON config file (``--config``) may supply any long option
 under its flag name; explicit flags win.  A valued option takes a JSON string
 or integer there, a switch (``--census``, ``--reflect``) takes true or false;
 any other value is refused.  Output goes to stdout, or with
-``--out`` to a file written atomically (temp file, then rename).
+``--out`` to a file written atomically (temp file, then rename); ``gb``
+writes each basis element as soon as it is built, into either.
 
 Outputs are deterministic: identical configuration yields identical bytes.
 There are no floats anywhere; rational numbers appear as exact ``num/den``
@@ -45,7 +46,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, product, repeat
+from itertools import accumulate, islice, product, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from math import factorial
 
@@ -57,7 +58,7 @@ from .algebra import (
     poly_to_json,
     poly_to_text,
 )
-from .closed_form import distinct_gb_census, reduced_gb
+from .closed_form import basis_elements, basis_order, distinct_gb_census, reduced_gb
 from .hilbert import hf, hs_complete_intersection, series_socle, truncate_lefschetz
 from .initial_ideal import critical_sets, hf_quotient, minimal_generators
 from .oracle import OracleConfig, multiplication_rank, oracle_reduced_gb
@@ -72,6 +73,7 @@ from .paths import (
 from .sequences import (
     MSpec,
     classical_row,
+    crit_counts,
     gb_degree_sequence,
     s_catalan_triangle,
     spin_catalan_degeneracies,
@@ -100,6 +102,11 @@ VERIFY_CASE_BUDGET = 4_096
 # The most rankings one ``verify --census`` may walk, about twice the default
 # grid's 8,508: the census of a case builds one basis per ranking, n! of them.
 CENSUS_BUDGET = 20_000
+
+# The most critical monomials one ``gb``, ``init`` or ``crit`` request may
+# have, about 15 times the 6,786 of ``crit --m eq:3:12 --k 3``; they are
+# counted per level from the Hilbert series before any is built.
+CRITICAL_BUDGET = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -221,44 +228,58 @@ def _encode(value, indent: str) -> str:
     raise TypeError(f"cannot write {kind.__name__} as JSON")
 
 
-def _dumps(payload, rendered: str | None = None) -> str:
-    """The one JSON writer of every subcommand: ``_encode(payload, "")`` and a
-    newline.  A top-level dict goes out a key at a time into one buffer, and
-    each item of a list under it on its own, so the text of a long list, a
-    grid's cases or a basis's elements, is not also built as one string per
-    list.  The value under the key ``rendered`` is an iterable of JSON texts
-    already written at the item indent, gb's elements from
-    ``algebra.poly_to_json``: each is written as it comes, so only one is
-    held at a time."""
+def _json_chunks(payload, rendered: str | None = None):
+    """The one JSON writer of every subcommand: the text of
+    ``_encode(payload, "")`` and a newline, as a generator of chunks.  A
+    top-level dict goes out a key at a time, and each item of a list under it
+    on its own, so the text of a long list, a grid's cases or a basis's
+    elements, is never built as one string.  The value under the key
+    ``rendered`` is an iterable of JSON texts already written at the item
+    indent, gb's elements from ``algebra.poly_to_json``: each is passed on
+    as it comes, so only one is held at a time."""
     if type(payload) is not dict or not payload:
-        return _encode(payload, "") + "\n"
-    buffer = io.StringIO()
+        yield _encode(payload, "") + "\n"
+        return
     for i, (key, value) in enumerate(payload.items()):
         # _quote raises TypeError on a key that is not a str
-        buffer.write(f"{',' if i else '{'}\n  {_quote(key)}: ")
+        yield f"{',' if i else '{'}\n  {_quote(key)}: "
         if key == rendered or type(value) is list or type(value) is tuple:
             texts = value if key == rendered else (_encode(item, "    ") for item in value)
             opening = "["
             for text in texts:
-                buffer.write(f"{opening}\n    ")
-                buffer.write(text)
+                yield f"{opening}\n    "
+                yield text
                 opening = ","
-            buffer.write("[]" if opening == "[" else "\n  ]")
+            yield "[]" if opening == "[" else "\n  ]"
         else:
-            buffer.write(_encode(value, "  "))
-    buffer.write("\n}\n")
-    return buffer.getvalue()
+            yield _encode(value, "  ")
+    yield "\n}\n"
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a
-    partial file and a crash leaves any previous version intact."""
+def _dumps(payload, rendered: str | None = None) -> str:
+    """The whole text of ``_json_chunks``; a TypeError comes from the call."""
+    return "".join(_json_chunks(payload, rendered=rendered))
+
+
+def _joined(pieces, sep: str, head: str = "", tail: str = "\n"):
+    """head + sep.join(pieces) + tail as chunks, one piece at a time."""
+    yield head
+    for i, piece in enumerate(pieces):
+        yield sep + piece if i else piece
+    yield tail
+
+
+def write_atomic(path: str, chunks) -> None:
+    """Write the text chunks, a str or an iterable of str, as they come into
+    a sibling temp file, then rename it over the path, so readers never see a
+    partial file and a failure, in the chunks or in the writing, leaves any
+    previous version intact."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".acigb-")
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:
@@ -275,31 +296,53 @@ def write_atomic(path: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 #
-# Every handler returns (text, ok); only verify can come out not ok, which
-# exits 2 after the report is written.
+# Every handler returns (text, ok): the text is a str, or an iterable of str
+# chunks that ``main`` writes as they come, and every refusal is raised
+# before the handler returns.  Only verify can come out not ok, which exits 2
+# after the report is written.
+
+
+def _check_critical(ns: argparse.Namespace) -> None:
+    """Refuse a ``gb``, ``init`` or ``crit`` request of more than
+    CRITICAL_BUDGET critical monomials, counted level by level in one pass
+    that builds the series of every proper prefix of m; ``hilbert``'s
+    estimate of those series is refused over SEQ_BUDGET first.  m and k are
+    checked before either, as ``critical_sets`` checks them."""
+    m = check_degree_vector(ns.m, ns.n)
+    check_power(ns.k)
+    # they are distinct m-free monomials: a product of the exponents within
+    # the budget needs no count
+    if _capped(m, CRITICAL_BUDGET, operator.mul) <= CRITICAL_BUDGET:
+        return
+    what = f"{ns.subcommand} request"
+    _refuse(_series_size(m[:-1]), SEQ_BUDGET, what, "--n or --m")
+    count = _capped(islice(crit_counts(m, ns.k), len(m)), CRITICAL_BUDGET)
+    _refuse(count, CRITICAL_BUDGET, what, "--n or --m", " critical monomials")
 
 
 def _cmd_gb(ns: argparse.Namespace) -> tuple:
-    basis = reduced_gb(ns.n, ns.m, ns.k, ranking=ns.ranking, kind=ns.order)
+    # the refusals come in reduced_gb's order: m, the order, then k
+    m = check_degree_vector(ns.m, ns.n)
+    order = basis_order(ns.n, ns.ranking, ns.order)
+    _check_critical(ns)
+    elements = (g for _, g in basis_elements(ns.n, m, ns.k, order))
     if ns.format == "json":
         payload = {
-            "n": basis.n,
-            "m": list(basis.m),
-            "k": basis.k,
-            "order": {
-                "kind": basis.order.kind,
-                "ranking": list(basis.order.ranking),
-            },
-            "elements": (poly_to_json(g, basis.order, "    ") for g in basis.elements),
+            "n": ns.n,
+            "m": list(m),
+            "k": ns.k,
+            "order": {"kind": order.kind, "ranking": list(order.ranking)},
+            "elements": (poly_to_json(g, order, "    ") for g in elements),
         }
-        return _dumps(payload, rendered="elements"), True
-    lines = [poly_to_text(g, basis.order) for g in basis.elements]
+        return _json_chunks(payload, rendered="elements"), True
+    lines = (poly_to_text(g, order) for g in elements)
     if ns.format == "text":
-        return "\n".join(lines) + "\n", True
-    return "{\n  " + ",\n  ".join(lines) + "\n}\n", True
+        return _joined(lines, "\n"), True
+    return _joined(lines, ",\n  ", "{\n  ", "\n}\n"), True
 
 
 def _cmd_init(ns: argparse.Namespace) -> tuple:
+    _check_critical(ns)
     gens = minimal_generators(ns.n, ns.m, ns.k).min_gens
     if ns.format == "json":
         return _dumps(
@@ -314,6 +357,7 @@ def _cmd_init(ns: argparse.Namespace) -> tuple:
 
 
 def _cmd_crit(ns: argparse.Namespace) -> tuple:
+    _check_critical(ns)
     sets = critical_sets(ns.n, ns.m, ns.k)
     if ns.format == "json":
         return _dumps(
@@ -852,6 +896,19 @@ def _validate(ns: argparse.Namespace, spec: Subcommand) -> None:
         )
 
 
+def _drop_stdout() -> None:
+    """After a broken pipe, point stdout's file descriptor at devnull, so
+    the flush at exit does not fail on the closed pipe again (the recipe in
+    the Python docs' note on SIGPIPE)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a file: nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     """Run one command line; safe to call repeatedly in one process."""
     ns = build_parser().parse_args(argv)
@@ -860,13 +917,19 @@ def main(argv=None) -> int:
         _merge_config(ns, spec)
         _validate(ns, spec)
         text, ok = spec.handler(ns)
+        chunks = (text,) if type(text) is str else text
         if ns.out is None:
-            sys.stdout.write(text)
+            stdout = sys.stdout  # as it is now: callers may swap it
+            for chunk in chunks:
+                stdout.write(chunk)
+            stdout.flush()
         else:
-            write_atomic(ns.out, text)
+            write_atomic(ns.out, chunks)
         return 0 if ok else 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError) and ns.out is None:
+            _drop_stdout()
         return 1
     except RuntimeError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ is how membership of g_s in the ideal is witnessed without any division.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -303,27 +304,38 @@ class GroebnerBasis:
 
 
 def sort_elements(pairs: list, order: TermOrder) -> tuple:
-    """(leads, elements) of (leading monomial, element) pairs, in ascending
-    degree and, within a degree, the higher leading monomial first."""
-    ranked = sorted(pairs, key=lambda p: order.key(p[0]), reverse=True)
-    ranked.sort(key=lambda p: sum(p[0]))
-    return tuple(p[0] for p in ranked), tuple(p[1] for p in ranked)
+    """(leads, xs) of (leading monomial, x) pairs with distinct leads,
+    sorted in ascending degree and, within a degree, the higher leading
+    monomial first; x is an element, or what builds one."""
+    x_of = dict(pairs)
+    # stable sorts: descending in the order, then ascending in degree
+    leads = order.descending(x_of)
+    leads.sort(key=sum)
+    return tuple(leads), tuple(map(x_of.__getitem__, leads))
 
 
-def reduced_gb(n: int, m, k: int, ranking=None, kind: str = "grevlex") -> GroebnerBasis:
-    """Reduced Groebner basis for any graded order respecting the ranking.
-
-    The basis depends only on the variable ranking, so the computation runs
-    in a relabeled frame where the ranking is the identity, then maps the
-    variables back.  Each element's leading monomial is the pure power or
-    critical monomial s it is built from.
-    """
-    m = check_degree_vector(m, n)
+def basis_order(n: int, ranking=None, kind: str = "grevlex") -> TermOrder:
+    """The graded order of this kind on n variables ranked highest first,
+    x_1 > ... > x_n unless a ranking is given."""
     if ranking is None:
         ranking = tuple(range(1, n + 1))
     if len(ranking) != n:
         raise ValueError(f"ranking must permute 1..{n}, got {tuple(ranking)}")
-    order = TermOrder(kind, tuple(ranking))
+    return TermOrder(kind, tuple(ranking))
+
+
+def basis_elements(n: int, m, k: int, order: TermOrder) -> Iterator:
+    """(leading monomial, element) pairs of the reduced basis in the order
+    of ``sort_elements``, for a graded order on the n variables
+    (``basis_order``).
+
+    The call checks m and k, computes the critical sets and sorts the leads;
+    the iterator it returns builds each element only when it is reached, so
+    a caller that writes each element as it comes holds one at a time.  The
+    basis depends only on the variable ranking, so the elements are built in
+    a relabeled frame where the ranking is the identity, then mapped back.
+    """
+    m = check_degree_vector(m, n)
     m_perm = tuple(m[r - 1] for r in order.ranking)
 
     # frame variable i is original variable ranking[i], so original
@@ -337,18 +349,34 @@ def reduced_gb(n: int, m, k: int, ranking=None, kind: str = "grevlex") -> Groebn
         return tuple(map(mono.__getitem__, src))
 
     crit = critical_sets(n, m_perm, k)
-    pairs = [
-        (mono, SparsePoly.monomial(n, mono, QQ)) for mono in map(back, crit.pure_powers)
-    ]
-    for j in range(1, n + 1):
-        for s in crit.by_index[j - 1]:
-            g = build_gs_divisor_form(s, j, m_perm, k, n)
-            if relabel:
-                # a bijection on monomials: nothing merges or cancels
-                g = SparsePoly(n, QQ, {back(mo): c for mo, c in g.terms.items()})
-                s = back(s)
-            pairs.append((s, g))
-    leads, elements = sort_elements(pairs, order)
+    # each lead with what builds its element: None for a pure power, else
+    # the critical monomial in the frame and its largest variable
+    recipes = [(back(p) if relabel else p, None) for p in crit.pure_powers]
+    for j, group in enumerate(crit.by_index, start=1):
+        recipes += [(back(s) if relabel else s, (s, j)) for s in group]
+    leads, recipes = sort_elements(recipes, order)
+
+    def elements():
+        for lead, recipe in zip(leads, recipes):
+            if recipe is None:
+                g = SparsePoly.monomial(n, lead, QQ)
+            else:
+                g = build_gs_divisor_form(*recipe, m_perm, k, n)
+                if relabel:
+                    # a bijection on monomials: nothing merges or cancels
+                    g = SparsePoly(n, QQ, {back(mo): c for mo, c in g.terms.items()})
+            yield lead, g
+
+    return elements()
+
+
+def reduced_gb(n: int, m, k: int, ranking=None, kind: str = "grevlex") -> GroebnerBasis:
+    """Reduced Groebner basis for any graded order respecting the ranking:
+    every pair of ``basis_elements``, collected.  Each element's leading
+    monomial is the pure power or critical monomial s it is built from."""
+    m = check_degree_vector(m, n)
+    order = basis_order(n, ranking, kind)
+    leads, elements = tuple(zip(*basis_elements(n, m, k, order))) or ((), ())
     return GroebnerBasis(n, m, k, order, elements, leads)
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "TypeInfo",
     "type_classify",
     "gb_degree_sequence",
+    "crit_counts",
     "crit_level_count",
     "g3k_sequence",
     "n_of_degree",
@@ -169,6 +170,15 @@ def gb_degree_sequence(m_spec, k: int, d_max: int) -> DegreeSequence:
     return DegreeSequence(spec, k, values)
 
 
+def crit_counts(m_spec, k: int):
+    """``crit_level_count`` for n = 1, 2, ... in one pass over the levels;
+    endless for a constant tail, and a finite prefix raises where it runs
+    out, as ``crit_level_count`` does past it."""
+    spec = MSpec.coerce(m_spec)
+    for n, level in enumerate(_levels(spec, k), 1):
+        yield sum(_level_counts(level, spec.entry(n), k)[1])
+
+
 def crit_level_count(n: int, m_spec, k: int) -> int:
     """Number of m-free basis elements whose leading monomial uses x_n."""
     spec = MSpec.coerce(m_spec)
@@ -179,8 +189,7 @@ def crit_level_count(n: int, m_spec, k: int) -> int:
 def g3k_sequence(k: int, n_max: int) -> tuple:
     """Cube-free element counts g(n), the level n + ceil(k/2) count."""
     shift = (k + 1) // 2
-    levels = islice(_levels(MSpec.constant(3), k), max(shift - 1, 0), shift + n_max)
-    return tuple(sum(_level_counts(level, 3, k)[1]) for level in levels)
+    return tuple(islice(crit_counts(3, k), max(shift - 1, 0), shift + n_max))
 
 
 def n_of_degree(d: int, m_spec, k: int) -> int:

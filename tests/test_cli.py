@@ -2,15 +2,22 @@
 determinism, exit codes, config handling, and the picture renderers."""
 
 import argparse
+import contextlib
+import errno
 import hashlib
 import inspect
 import itertools
 import json
 import operator
+import os
+import subprocess
+import sys
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -18,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acigb import cli as cli_module
+from acigb import closed_form
 from acigb.closed_form import reduced_gb
 from acigb.cli import (
     SEQ_FAMILIES,
@@ -427,14 +435,16 @@ class TestJsonWriter:
         assert cli_module._dumps(payload) == self.reference(payload)
 
     def test_every_json_subcommand_payload(self, capsys, monkeypatch, reference_tree):
+        # gb streams _json_chunks, the others join it through _dumps: the
+        # recorder sits on the chunk writer, which every subcommand calls
         seen = []
-        writer = cli_module._dumps
+        writer = cli_module._json_chunks
 
         def recording(payload, **kwargs):
             seen.append(payload)
             return writer(payload, **kwargs)
 
-        monkeypatch.setattr(cli_module, "_dumps", recording)
+        monkeypatch.setattr(cli_module, "_json_chunks", recording)
         for count, argv in enumerate(JSON_JOBS, start=1):
             code, out, err = invoke(argv + ["--format", "json"], capsys)
             assert (code, err) == (0, ""), argv
@@ -442,9 +452,10 @@ class TestJsonWriter:
             if argv[0] != "gb":
                 assert out == self.reference(seen[-1]), argv
                 continue
-            # gb's elements reach _dumps as text from poly_to_json: the whole
-            # output is checked against the stdlib's layout of its parse, and
-            # the parsed elements against the dict-per-term reference tree
+            # gb's elements reach the writer as text from poly_to_json: the
+            # whole output is checked against the stdlib's layout of its
+            # parse, and the parsed elements against the dict-per-term
+            # reference tree
             data = json.loads(out)
             assert out == self.reference(data), argv
             ns = cli_module.build_parser().parse_args(argv)
@@ -577,6 +588,167 @@ class TestOutputFile:
         assert str(target) in err
         assert list(target.iterdir()) == []
         assert not list(tmp_path.glob(".acigb-*"))
+
+
+class Sink:
+    """A stdout that keeps the chunks written to it, or with ``keep=False``
+    only their total length."""
+
+    def __init__(self, keep=True, events=None):
+        self.keep, self.size, self.chunks = keep, 0, []
+        self.events = events
+
+    def write(self, text):
+        self.size += len(text)
+        if self.keep:
+            self.chunks.append(text)
+        if self.events is not None:
+            self.events.append("write")
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def run_into(sink, argv) -> int:
+    with contextlib.redirect_stdout(sink):
+        return main(argv)
+
+
+def cli_process(argv, stdout):
+    """``python -m acigb.cli argv`` with stdout on the given file or pipe."""
+    src = Path(cli_module.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.Popen(
+        [sys.executable, "-m", "acigb.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env,
+    )
+
+
+class TestStreaming:
+    """gb writes each basis element as soon as it is built, to stdout or to
+    the --out temp file, and refuses before it writes a byte."""
+
+    GOLDEN = ["gb", "--m", "eq:3:9", "--k", "3", "--format", "json"]
+
+    def test_golden_basis_peaks_below_a_third_of_its_output(self):
+        # a whole-string writer peaks above the output's length (2.7 times
+        # it before elements were streamed); a stream holds one element
+        sink = Sink(keep=False)
+        tracemalloc.start()
+        try:
+            code = run_into(sink, self.GOLDEN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sink.size > 6_000_000
+        assert peak < sink.size / 3, (peak, sink.size)
+
+    @pytest.mark.parametrize("fmt", ["json", "text", "m2"])
+    def test_each_element_is_written_before_the_next_is_built(self, monkeypatch, fmt):
+        events = []
+        build = closed_form.build_gs_divisor_form
+
+        def recording(*args):
+            events.append("build")
+            return build(*args)
+
+        monkeypatch.setattr(closed_form, "build_gs_divisor_form", recording)
+        sink = Sink(events=events)
+        assert run_into(sink, ["gb", "--m", "3,2,2,3", "--k", "2", "--format", fmt]) == 0
+        builds = [i for i, event in enumerate(events) if event == "build"]
+        assert len(builds) == 5  # x1^2 and the critical monomials
+        assert events.index("write") < builds[0]
+        for before, after in zip(builds, builds[1:]):
+            assert "write" in events[before:after], events
+        # and the chunks make the bytes of the basis, the pinned layout
+        monkeypatch.undo()
+        whole = Sink()
+        run_into(whole, ["gb", "--m", "3,2,2,3", "--k", "2", "--format", fmt])
+        assert "".join(sink.chunks) == "".join(whole.chunks)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gb", "--m", "1,2", "--k", "1"],
+            ["gb", "--m", "3,3", "--k", "0"],
+            ["gb", "--m", "3,3"],
+            ["gb", "--m", "3,3", "--k", "1", "--ranking", "2,1,3"],
+            ["gb", "--m", "3,3", "--k", "1", "--ranking", "1,1"],
+            ["gb", "--m", "3,3", "--k", "1", "--order", "lex"],
+            ["gb", "--n", "3", "--m", "3,3", "--k", "1"],
+            ["gb", "--m", "eq:3:100000000", "--k", "1"],
+            ["gb", "--m", "eq:2:40", "--k", "1"],
+            ["gb", "--m", "1000000000,3", "--k", "1"],
+        ],
+    )
+    def test_every_refusal_writes_nothing(self, tmp_path, capsys, argv):
+        for fmt in ("json", "text", "m2"):
+            sink = Sink()
+            assert run_into(sink, argv + ["--format", fmt]) == 1
+            assert sink.size == 0, (argv, fmt)
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            target = tmp_path / f"basis.{fmt}"
+            assert run_into(sink, argv + ["--format", fmt, "--out", str(target)]) == 1
+            assert sink.size == 0 and list(tmp_path.iterdir()) == [], (argv, fmt)
+            assert capsys.readouterr().err == err
+        assert run_into(sink, argv + ["--format", "csv"]) == 1
+        assert sink.size == 0
+
+    @pytest.mark.parametrize(
+        "failure",
+        [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()],
+        ids=["disk-full", "interrupt"],
+    )
+    def test_failure_mid_stream_keeps_the_target(self, tmp_path, capsys, monkeypatch, failure):
+        target = tmp_path / "basis.json"
+        target.write_bytes(b"previous version\n")
+        build = closed_form.build_gs_divisor_form
+        temp_files = []
+
+        def failing(*args):
+            if len(temp_files) == 3:
+                raise failure
+            # the stream is inside write_atomic: its temp file exists
+            temp_files.append(sorted(p.name for p in tmp_path.glob(".acigb-*")))
+            return build(*args)
+
+        monkeypatch.setattr(closed_form, "build_gs_divisor_form", failing)
+        argv = ["gb", "--m", "eq:3:6", "--k", "3", "--out", str(target)]
+        if isinstance(failure, OSError):
+            code, out, err = invoke(argv, capsys)
+            assert (code, out) == (1, "")
+            assert err == f"error: [Errno 28] No space left on device: {str(target)!r}\n"
+        else:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        assert len(temp_files) == 3 and all(len(names) == 1 for names in temp_files)
+        assert target.read_bytes() == b"previous version\n"
+        assert sorted(tmp_path.iterdir()) == [target]
+
+    def test_broken_pipe_mid_stream(self):
+        # the reader stops after 100 bytes of 6.4 MB, as `| head -c 100` does
+        proc = cli_process(self.GOLDEN, subprocess.PIPE)
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert head.startswith(b'{\n  "n": 9,\n  "m": [\n')
+        # one line, and no "Exception ignored" from the flush at exit
+        assert err == b"error: [Errno 32] Broken pipe\n"
+
+    def test_broken_pipe_before_the_first_write(self):
+        # a small basis goes out in one flush, into a pipe nobody reads
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = cli_process(["gb", "--m", "3,2,2,3", "--k", "2"], write_end)
+        finally:
+            os.close(write_end)
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert err == b"error: [Errno 32] Broken pipe\n"
 
 
 class TestConfigFile:
@@ -860,6 +1032,13 @@ class TestExitCodes:
             (["hilbert", "--m", "eq:3:100000000", "--k", "1"], "--m"),
             (["hilbert", "--n", "100000000", "--m", "3", "--k", "1"], "--n"),
             (["gb", "--m", "eq:3:100000000", "--k", "1"], "--m"),
+            # 2,423,307,047 critical monomials, counted before any is built
+            (["gb", "--m", "eq:2:40", "--k", "1"], "--n or --m"),
+            (["crit", "--m", "eq:2:40", "--k", "1"], "--n or --m"),
+            (["init", "--n", "40", "--m", "2", "--k", "1"], "--n or --m"),
+            # the count would build the series of the prefix 10^9
+            (["crit", "--m", "1000000000,3", "--k", "1"], "--n or --m"),
+            (["gb", "--m", "eq:2:3000", "--k", "2900"], "--n or --m"),
         ],
     )
     def test_huge_request_refused_up_front(self, capsys, argv, flag):
@@ -869,6 +1048,32 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and err.count("\n") == 1
         assert "budget" in err and err.endswith(f"lower {flag}\n"), err
+
+    def test_critical_monomials_counted_against_the_budget(self, capsys, monkeypatch):
+        # crit --m eq:3:12 --k 3, the largest catalogue job, has 6,786
+        def reached(*args, **kwargs):
+            raise ValueError("computation reached")
+
+        for name in ("critical_sets", "minimal_generators", "basis_elements"):
+            monkeypatch.setattr(cli_module, name, reached)
+        for sub in ("gb", "init", "crit"):
+            argv = [sub, "--m", "eq:3:12", "--k", "3"]
+            monkeypatch.setattr(cli_module, "CRITICAL_BUDGET", 6_785)
+            code, out, err = invoke(argv, capsys)
+            assert (code, out) == (1, ""), sub
+            assert err == (
+                f"error: {sub} request over the size budget of 6785 critical"
+                " monomials; lower --n or --m\n"
+            )
+            monkeypatch.setattr(cli_module, "CRITICAL_BUDGET", 6_786)
+            code, _, err = invoke(argv, capsys)
+            assert code == 1 and "computation reached" in err, sub
+
+    def test_last_exponent_is_not_multiplied_into_the_count(self, capsys):
+        # the count builds the series of the proper prefixes only
+        code, out, err = invoke(["gb", "--m", "1000000000", "--k", "1",
+                                 "--format", "text"], capsys)
+        assert (code, out, err) == (0, "x1\n", "")
 
     # the first one-variable --m whose series digits pass cli.SEQ_BUDGET:
     # 571,429 coefficients of at most 7 digits each

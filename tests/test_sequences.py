@@ -1,5 +1,6 @@
 """Degree-count sequences, convolutions, triangle, and spin tests."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -7,7 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from acigb.initial_ideal import critical_sets_paths, hf_quotient, minimal_generators
+from acigb.initial_ideal import (
+    critical_sets,
+    critical_sets_paths,
+    hf_quotient,
+    minimal_generators,
+)
 from acigb.hilbert import hf, hs_complete_intersection, socle_degrees
 from acigb.sequences import (
     MSpec,
@@ -15,6 +21,7 @@ from acigb.sequences import (
     catalan_convolution_check_m2,
     convolution_check,
     convolve,
+    crit_counts,
     crit_level_count,
     g3k_sequence,
     gb_degree_sequence,
@@ -242,6 +249,25 @@ class TestScanAgainstPrefixFormulas:
                     n, m = len(spec.prefix), spec.prefix
                     want = outcome(ref_max_gb_degree, n, m, k)
                     assert outcome(max_gb_degree, n, m, k) == want, (m, k)
+
+    def test_level_counts_in_one_pass(self):
+        # crit_counts yields what crit_level_count gives level by level, and
+        # raises where a finite prefix runs out, with the same message
+        for spec in random_specs(3, 60):
+            for k in range(1, 6):
+                counts, got = crit_counts(spec, k), []
+                for n in range(1, 9):
+                    got.append(outcome(next, counts))
+                    assert got[-1] == outcome(ref_crit_level_count, n, spec, k), (spec, k, n)
+                    if isinstance(got[-1], tuple):
+                        break
+
+    def test_level_counts_are_the_critical_set_sizes(self):
+        for n in range(1, 5):
+            for m in itertools.product(range(2, 5), repeat=n):
+                for k in range(1, 6):
+                    sizes = [len(group) for group in critical_sets(n, m, k).by_index]
+                    assert list(itertools.islice(crit_counts(m, k), n)) == sizes, (m, k)
 
     def test_cube_free_counts(self):
         for k in range(1, 6):
