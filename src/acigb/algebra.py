@@ -10,6 +10,7 @@ is exact; floats never appear.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import operator
@@ -122,14 +123,10 @@ QQ = Field()
 # monomial helpers
 
 
-# the helpers below map C-level operators over both tuples, several times
-# faster than a generator over zip
+# a C-level operator mapped over both tuples, several times faster than a
+# generator over zip
 def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(map(operator.add, a, b))
-
-
-def mono_divides(a: Mono, b: Mono) -> bool:
-    return all(map(operator.le, a, b))
 
 
 # Packed divisibility.  An exponent vector packs into one int with a bit
@@ -164,10 +161,6 @@ def packed_divides_any(gens, h: int, guard: int) -> bool:
         if (h - g) & guard == guard:
             return True
     return False
-
-
-def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(map(max, a, b))
 
 
 def max_index(mono: Mono) -> int:
@@ -386,7 +379,10 @@ class SparsePoly:
 
     @classmethod
     def monomial(cls, n: int, mono: Mono, field: Field = QQ) -> "SparsePoly":
-        return cls.from_terms(n, [(mono, 1)], field)
+        mono = tuple(mono)
+        if len(mono) != n:
+            raise ValueError(f"monomial {mono} has wrong length for n={n}")
+        return cls(n, field, {mono: field.coerce(1)})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -457,8 +453,11 @@ class SparsePoly:
         return f"SparsePoly({body})"
 
 
+@functools.lru_cache(maxsize=32)
 def linear_power(n: int, e: int, field: Field = QQ) -> SparsePoly:
-    """(x_1 + ... + x_n)**e expanded with multinomials."""
+    """(x_1 + ... + x_n)**e expanded with multinomials.  The 32 powers used
+    last are cached and shared, so callers only read them: a ``verify`` case
+    asks for its (n, k) once per order."""
     if n <= 0:
         raise ValueError("empty variable range")
     # each composition is its own monomial, so nothing merges; a multinomial

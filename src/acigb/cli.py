@@ -108,6 +108,11 @@ CENSUS_BUDGET = 20_000
 # counted per level from the Hilbert series before any is built.
 CRITICAL_BUDGET = 100_000
 
+# The most divisors of one critical monomial's head, its exponents before its
+# largest variable, that ``gb`` may walk to build one element: about 30 times
+# the largest of (3,)*12 with k = 3, 3,072.
+DIVISOR_BUDGET = 100_000
+
 
 # ---------------------------------------------------------------------------
 # argument plumbing
@@ -320,11 +325,28 @@ def _check_critical(ns: argparse.Namespace) -> None:
     _refuse(count, CRITICAL_BUDGET, what, "--n or --m", " critical monomials")
 
 
+def _check_divisors(ns: argparse.Namespace, m: tuple, order) -> None:
+    """Refuse a ``gb`` request with a critical monomial whose head has more
+    than DIVISOR_BUDGET divisors: ``build_gs_divisor_form`` walks each one.
+    The heads are m-free in the frame where the ranking is the identity, so
+    a product of that frame's exponents but the last within the budget needs
+    no critical sets."""
+    m = tuple(m[r - 1] for r in order.ranking)
+    if _capped(m[:-1], DIVISOR_BUDGET, operator.mul) <= DIVISOR_BUDGET:
+        return
+    for j, group in enumerate(critical_sets(ns.n, m, ns.k).by_index, start=1):
+        for s in group:
+            walk = _capped((e + 1 for e in s[: j - 1]), DIVISOR_BUDGET, operator.mul)
+            _refuse(walk, DIVISOR_BUDGET, "gb request", "--n, --m or --k",
+                    " head divisors in one element")
+
+
 def _cmd_gb(ns: argparse.Namespace) -> tuple:
     # the refusals come in reduced_gb's order: m, the order, then k
     m = check_degree_vector(ns.m, ns.n)
     order = basis_order(ns.n, ns.ranking, ns.order)
     _check_critical(ns)
+    _check_divisors(ns, m, order)
     elements = (g for _, g in basis_elements(ns.n, m, ns.k, order))
     if ns.format == "json":
         payload = {

@@ -7,17 +7,15 @@ tautology.  Works over the rationals or a prime field.
 
 The reductions run on the packed keys of ``algebra.PackedLayout``, one int
 per monomial whose integer order is the term order: the lead tables, the
-S-polynomials and every ``reduce_full`` stay packed from the first pair to
-the end of the interreduction, and only the rules that make new pairs read
-exponent tuples; every pair made is reduced.  ``buchberger`` takes and
-returns ``SparsePoly`` polynomials.
+pair rules, the S-polynomials and every ``reduce_full`` stay packed from the
+first pair to the end of the interreduction, and every pair made is
+reduced.  ``buchberger`` takes and returns ``SparsePoly`` polynomials.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,10 +35,7 @@ from .algebra import (
     lead_entry,
     lead_table,
     linear_power,
-    mono_divides,
-    mono_lcm,
     mono_mul,
-    pack_poly,
     reduce_full,
 )
 from .closed_form import GroebnerBasis, sort_elements
@@ -145,8 +140,8 @@ def buchberger(gens: list, cfg: OracleConfig) -> tuple:
     ties go to the lower indices; the reduced basis is unique, so the
     tie-break never shows in the result.
 
-    The pair criteria run on exponent tuples, the reductions on the keys of
-    one ``PackedLayout``.  Its bound (``_start_bound``) must hold every term
+    The pair criteria and the reductions run on the keys of one
+    ``PackedLayout``.  Its bound (``_start_bound``) must hold every term
     of a reduction, and in a graded order none lies above the S-pair's lcm:
     a pair whose lcm does not fit restarts the run on a wider layout.
     """
@@ -163,38 +158,64 @@ def buchberger(gens: list, cfg: OracleConfig) -> tuple:
 
 def _lead_basis(gens: list, layout: PackedLayout, field: Field) -> list:
     """The lead table of a Groebner basis of (gens): ``buchberger``'s pair
-    loop on the keys of layout."""
+    loop on the keys of layout.
+
+    The pair rules read each lead as its exponent code
+    E = sign * (one - (key & mask)), one field of the layout per variable
+    holding that exponent under a clear guard bit, and never unpack a key.
+    With every guard bit of b set, subtracting a borrows across no field and
+    leaves a field's guard bit set exactly where a_i <= b_i: that tests
+    divisibility, and it picks the larger exponent of each field for the
+    lcm.  The code of a product is the sum of the codes, so a pair is
+    coprime iff its lcm is a + b.  An lcm's degree is the sum of its fields,
+    which is its code mod 2^width - 1 while that sum stays below 2^width - 1;
+    two leads of degree at most the bound have an lcm of degree at most
+    twice the bound, which does.  The lcm's key is then
+    one + (degree << top) - sign * E.
+    """
     table = lead_table(gens, layout)
-    leads: list = []  # leading monomial of each element, as a tuple
+    guard, mask, one, sign, bound = (
+        layout.guard, layout.mask, layout.one, layout.sign, layout.bound)
+    fields = layout.fmask  # 2^width - 1: one field's bits
+    top, low = mask.bit_length(), fields.bit_length() - 1
+    leads: list = []  # exponent code of each element's lead
     useful: list = []  # indices of the elements new pairs may use
     heap: list = []
 
-    def update(lt):
-        t = len(leads)
+    def update(key):
+        a = sign * (one - (key & mask))
+        ag, t = a | guard, len(leads)
         new: dict = {}  # lcm -> one pair index with it, None if a coprime pair has it
         for s in useful:
-            lcm = mono_lcm(lt, leads[s])
-            if lcm == mono_mul(lt, leads[s]):
+            b = leads[s]
+            d = (ag - b) & guard  # guard bits of the fields with a_i >= b_i
+            sel = d - (d >> low)  # the exponent bits of those fields
+            lcm = b ^ ((a ^ b) & sel)
+            if lcm == a + b:
                 new[lcm] = None
             else:
                 new.setdefault(lcm, s)
         for lcm, s in new.items():
-            if s is not None and not any(o != lcm and mono_divides(o, lcm) for o in new):
-                if sum(lcm) > layout.bound:
-                    raise _Overflow(sum(lcm))
-                heapq.heappush(heap, (layout.pack(lcm), t, s))
-        useful[:] = [s for s in useful if not mono_divides(lt, leads[s])] + [t]
-        leads.append(lt)
+            if s is None:
+                continue
+            lg = lcm | guard
+            if not any(o != lcm and (lg - o) & guard == guard for o in new):
+                deg = lcm % fields
+                if deg > bound:
+                    raise _Overflow(deg)
+                heapq.heappush(heap, (one + (deg << top) - sign * lcm, t, s))
+        useful[:] = [s for s in useful if ((leads[s] | guard) - a) & guard != guard] + [t]
+        leads.append(a)
 
     for entry in table:
-        update(layout.unpack(entry[1]))
+        update(entry[1])
     while heap:
         lcm, i, j = heapq.heappop(heap)
         h = reduce_full(spoly(table[i], table[j], lcm, layout, field), table)
         if not h.is_zero():
             entry = lead_entry(h)
             table.append(entry)
-            update(layout.unpack(entry[1]))
+            update(entry[1])
     return table
 
 
@@ -205,35 +226,6 @@ def oracle_reduced_gb(n: int, m, k: int, cfg: OracleConfig | None = None) -> Gro
     gens = power_sum_generators(n, m, k, cfg.field)
     leads, elements = sort_elements(buchberger(gens, cfg), cfg.order)
     return GroebnerBasis(n, tuple(m), k, cfg.order, elements, leads)
-
-
-def verify_is_gb(candidate, gens: list, cfg: OracleConfig) -> bool:
-    """Buchberger criterion plus two-sided ideal containment.
-
-    True iff every S-polynomial of the candidate reduces to zero against it,
-    every original generator reduces to zero, and each candidate element
-    reduces to zero against an independently computed basis of (gens).
-    """
-    order, field = cfg.order, cfg.field
-    elements = list(getattr(candidate, "elements", candidate))
-    if not elements:
-        return all(g.is_zero() for g in gens)
-    # an S-polynomial lies in degree at most twice the candidate's degree
-    top = max(g.degree() for g in elements + gens)
-    layout = PackedLayout(order, 2 * max(top, 0))
-    table = lead_table(elements, layout)
-    leads = [layout.unpack(entry[1]) for entry in table]
-    for (a, la), (b, lb) in itertools.combinations(zip(table, leads), 2):
-        s = spoly(a, b, layout.pack(mono_lcm(la, lb)), layout, field)
-        if not reduce_full(s, table).is_zero():
-            return False
-    for g in gens:
-        if not reduce_full(pack_poly(g, layout), table).is_zero():
-            return False
-    reference = [g for _, g in buchberger(gens, cfg)]
-    layout = PackedLayout(order, max([top, 0] + [g.degree() for g in reference]))
-    table = lead_table(reference, layout)
-    return all(reduce_full(pack_poly(f, layout), table).is_zero() for f in elements)
 
 
 def initial_ideal_oracle(n: int, m, k: int, cfg: OracleConfig | None = None) -> MonomialIdeal:

@@ -65,6 +65,11 @@ def schema(name: str) -> dict:
     return json.loads(text)
 
 
+def reached(*args, **kwargs):
+    """Stands in for a computation that a refusal must come before."""
+    raise ValueError("computation reached")
+
+
 def invoke(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -680,6 +685,7 @@ class TestStreaming:
             ["gb", "--m", "eq:3:100000000", "--k", "1"],
             ["gb", "--m", "eq:2:40", "--k", "1"],
             ["gb", "--m", "1000000000,3", "--k", "1"],
+            ["gb", "--m", "eq:2:340", "--k", "339"],
         ],
     )
     def test_every_refusal_writes_nothing(self, tmp_path, capsys, argv):
@@ -1039,6 +1045,8 @@ class TestExitCodes:
             # the count would build the series of the prefix 10^9
             (["crit", "--m", "1000000000,3", "--k", "1"], "--n or --m"),
             (["gb", "--m", "eq:2:3000", "--k", "2900"], "--n or --m"),
+            # one critical monomial, x_1...x_339, whose head has 2^338 divisors
+            (["gb", "--m", "eq:2:340", "--k", "339"], "--n, --m or --k"),
         ],
     )
     def test_huge_request_refused_up_front(self, capsys, argv, flag):
@@ -1051,9 +1059,6 @@ class TestExitCodes:
 
     def test_critical_monomials_counted_against_the_budget(self, capsys, monkeypatch):
         # crit --m eq:3:12 --k 3, the largest catalogue job, has 6,786
-        def reached(*args, **kwargs):
-            raise ValueError("computation reached")
-
         for name in ("critical_sets", "minimal_generators", "basis_elements"):
             monkeypatch.setattr(cli_module, name, reached)
         for sub in ("gb", "init", "crit"):
@@ -1074,6 +1079,40 @@ class TestExitCodes:
         code, out, err = invoke(["gb", "--m", "1000000000", "--k", "1",
                                  "--format", "text"], capsys)
         assert (code, out, err) == (0, "x1\n", "")
+
+    def test_head_divisors_counted_against_the_budget(self, capsys, monkeypatch):
+        # the largest head of (3,)*12 with k = 3 has 3,072 divisors
+        monkeypatch.setattr(cli_module, "basis_elements", reached)
+        argv = ["gb", "--m", "eq:3:12", "--k", "3"]
+        monkeypatch.setattr(cli_module, "DIVISOR_BUDGET", 3_071)
+        code, out, err = invoke(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: gb request over the size budget of 3071 head divisors in one"
+            " element; lower --n, --m or --k\n"
+        )
+        monkeypatch.setattr(cli_module, "DIVISOR_BUDGET", 3_072)
+        code, _, err = invoke(argv, capsys)
+        assert code == 1 and "computation reached" in err
+
+    def test_head_divisors_skipped_within_the_budget(self, capsys, monkeypatch):
+        # the heads lie in the frame of the ranking: m = (5, 2, 2) ranked
+        # 2, 3, 1 reads (2, 2, 5) there, whose product but the last is 4
+        monkeypatch.setattr(cli_module, "critical_sets", reached)
+        monkeypatch.setattr(cli_module, "DIVISOR_BUDGET", 4)
+        argv = ["gb", "--m", "5,2,2", "--k", "2", "--format", "text"]
+        code, out, _ = invoke(argv + ["--ranking", "2,3,1"], capsys)
+        assert code == 0 and out
+        code, _, err = invoke(argv, capsys)
+        assert code == 1 and "computation reached" in err
+
+    def test_only_gb_walks_the_head_divisors(self, capsys):
+        for sub in ("crit", "init"):
+            start = time.perf_counter()
+            argv = [sub, "--m", "eq:2:340", "--k", "339", "--format", "text"]
+            code, out, err = invoke(argv, capsys)
+            assert time.perf_counter() - start < 2.0, sub
+            assert (code, err) == (0, "") and "x1*x2*x3" in out, sub
 
     # the first one-variable --m whose series digits pass cli.SEQ_BUDGET:
     # 571,429 coefficients of at most 7 digits each

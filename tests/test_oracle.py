@@ -1,9 +1,12 @@
 """Buchberger oracle and modular rank tests."""
 
+import heapq
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,15 +20,19 @@ from acigb.algebra import (
     enumerate_m_free,
     grevlex,
     grlex,
+    lead_entry,
     lead_table,
     linear_power,
+    mono_mul,
+    pack_poly,
     poly_to_text,
+    reduce_full,
 )
-from acigb import oracle
-from acigb.cli import main
-from acigb.closed_form import reduced_gb
+from acigb import algebra, closed_form, oracle
+from acigb.cli import main, verify_all
+from acigb.closed_form import build_certificate, reduced_gb, verify_certificate
 from acigb.hilbert import hf, hs_complete_intersection, truncate_lefschetz
-from acigb.initial_ideal import hf_quotient, minimal_generators
+from acigb.initial_ideal import critical_sets, hf_quotient, minimal_generators
 from acigb.oracle import (
     OracleConfig,
     buchberger,
@@ -35,7 +42,6 @@ from acigb.oracle import (
     oracle_reduced_gb,
     power_sum_generators,
     spoly,
-    verify_is_gb,
 )
 from acigb.wlp import wlp_decide
 
@@ -47,6 +53,44 @@ def small_grid(k_max=3):
         for m in itertools.product((2, 3, 4), repeat=n):
             for k in range(1, k_max + 1):
                 yield n, m, k
+
+
+def mono_divides(a, b):
+    """Whether the monomial a divides b, by plain exponent comparison."""
+    return all(map(operator.le, a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def verify_is_gb(candidate, gens: list, cfg: OracleConfig) -> bool:
+    """Buchberger criterion plus two-sided ideal containment.
+
+    True iff every S-polynomial of the candidate reduces to zero against it,
+    every original generator reduces to zero, and each candidate element
+    reduces to zero against an independently computed basis of (gens).
+    """
+    order, field = cfg.order, cfg.field
+    elements = list(getattr(candidate, "elements", candidate))
+    if not elements:
+        return all(g.is_zero() for g in gens)
+    # an S-polynomial lies in degree at most twice the candidate's degree
+    top = max(g.degree() for g in elements + gens)
+    layout = PackedLayout(order, 2 * max(top, 0))
+    table = lead_table(elements, layout)
+    leads = [layout.unpack(entry[1]) for entry in table]
+    for (a, la), (b, lb) in itertools.combinations(zip(table, leads), 2):
+        s = spoly(a, b, layout.pack(mono_lcm(la, lb)), layout, field)
+        if not reduce_full(s, table).is_zero():
+            return False
+    for g in gens:
+        if not reduce_full(pack_poly(g, layout), table).is_zero():
+            return False
+    reference = [g for _, g in buchberger(gens, cfg)]
+    layout = PackedLayout(order, max([top, 0] + [g.degree() for g in reference]))
+    table = lead_table(reference, layout)
+    return all(reduce_full(pack_poly(f, layout), table).is_zero() for f in elements)
 
 
 class TestBuchberger:
@@ -276,6 +320,166 @@ class TestPairPruning:
             for order in (grevlex(n), grlex(n)):
                 got = {g.fingerprint() for _, g in buchberger(gens, OracleConfig(order=order))}
                 assert got == sympy_basis(sympy, exprs, xs, order), (gens, order.kind)
+
+
+def tuple_lead_basis(gens, layout, field, push):
+    """``oracle._lead_basis`` with its pair rules on exponent tuples: the
+    reference for the pairs its loop on exponent codes makes.
+    push(heap, item) pushes each (lcm key, i, j)."""
+    table = lead_table(gens, layout)
+    leads, useful, heap = [], [], []
+
+    def update(lt):
+        t = len(leads)
+        new = {}  # lcm -> one pair index with it, None if a coprime pair has it
+        for s in useful:
+            lcm = mono_lcm(lt, leads[s])
+            if lcm == mono_mul(lt, leads[s]):
+                new[lcm] = None
+            else:
+                new.setdefault(lcm, s)
+        for lcm, s in new.items():
+            if s is not None and not any(o != lcm and mono_divides(o, lcm) for o in new):
+                if sum(lcm) > layout.bound:
+                    raise oracle._Overflow(sum(lcm))
+                push(heap, (layout.pack(lcm), t, s))
+        useful[:] = [s for s in useful if not mono_divides(lt, leads[s])] + [t]
+        leads.append(lt)
+
+    for entry in table:
+        update(layout.unpack(entry[1]))
+    while heap:
+        lcm, i, j = heapq.heappop(heap)
+        h = reduce_full(spoly(table[i], table[j], lcm, layout, field), table)
+        if not h.is_zero():
+            entry = lead_entry(h)
+            table.append(entry)
+            update(layout.unpack(entry[1]))
+    return table
+
+
+class TestPairRulesOnCodes:
+    """The pair loop on exponent codes pushes the pairs the tuple rules
+    push, in the same order, on every layout a run tries."""
+
+    @staticmethod
+    def trace(lead_basis, gens, cfg, bound):
+        """[(bound, pushes)] for each layout ``buchberger``'s restart loop
+        tries from bound, and the final lead table."""
+        runs = []
+        while True:
+            pushes = []
+            runs.append((bound, pushes))
+
+            def push(heap, item):
+                pushes.append(item)
+                heapq.heappush(heap, item)
+
+            try:
+                table = lead_basis(gens, PackedLayout(cfg.order, bound), cfg.field, push)
+            except oracle._Overflow as err:
+                bound = max(2 * bound, err.args[0])
+            else:
+                return runs, table
+
+    def assert_same_pairs(self, monkeypatch, gens, cfg, bound=None):
+        def packed(gens, layout, field, push):
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    oracle, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop)
+                )
+                return oracle._lead_basis(gens, layout, field)
+
+        if bound is None:
+            bound = oracle._start_bound(gens)
+        want = self.trace(tuple_lead_basis, gens, cfg, bound)
+        got = self.trace(packed, gens, cfg, bound)
+        assert got == want
+        return want[0]
+
+    def test_default_grid_in_both_orders(self, monkeypatch):
+        for n in range(1, 5):
+            for m in itertools.product((2, 3, 4), repeat=n):
+                for k in range(1, 5):
+                    gens = power_sum_generators(n, m, k)
+                    for order in (grevlex(n), grlex(n)):
+                        runs = self.assert_same_pairs(monkeypatch, gens, OracleConfig(order))
+                        assert runs[-1][1], (n, m, k, order)
+
+    def test_random_systems(self, monkeypatch):
+        # inhomogeneous systems too, over Q and F_7
+        pushed = 0
+        for n, gens in TestPairPruning().systems():
+            for p, order in itertools.product((None, 7), (grevlex(n), grlex(n))):
+                cfg = OracleConfig(order=order, p=p)
+                own = [SparsePoly.from_terms(n, g.terms.items(), cfg.field) for g in gens]
+                runs = self.assert_same_pairs(monkeypatch, own, cfg)
+                pushed += len(runs[-1][1])
+        assert pushed > 500, pushed
+
+    def test_overflow_restart(self, monkeypatch):
+        # the narrowest layout that holds the generators overflows on an
+        # S-pair, and the run restarts wider, as in buchberger
+        for (n, m, k), order in (
+            (GOLDEN, grevlex(4)),
+            ((3, (4, 3, 2), 3), TermOrder("grlex", (2, 3, 1))),
+        ):
+            for p in (None, 7):
+                cfg = OracleConfig(order=order, p=p)
+                gens = power_sum_generators(n, m, k, cfg.field)
+                runs = self.assert_same_pairs(
+                    monkeypatch, gens, cfg, bound=max(g.degree() for g in gens)
+                )
+                assert len(runs) > 1, (n, m, k, p)
+
+    def test_pair_loop_never_unpacks_a_key(self, monkeypatch):
+        def unpack(self, key):
+            raise AssertionError("the pair loop unpacked a key")
+
+        monkeypatch.setattr(PackedLayout, "unpack", unpack)
+        rng = random.Random(3)
+        cases = [power_sum_generators(*GOLDEN), power_sum_generators(3, (4, 3, 2), 3)]
+        cases += [random_system(rng, homogeneous=t % 2 == 0)[1] for t in range(6)]
+        for gens, order_of, p in itertools.product(cases, (grevlex, grlex), (None, 7)):
+            cfg = OracleConfig(order=order_of(gens[0].n), p=p)
+            own = [SparsePoly.from_terms(g.n, g.terms.items(), cfg.field) for g in gens]
+            layout = PackedLayout(cfg.order, oracle._start_bound(own))
+            assert oracle._lead_basis(own, layout, cfg.field)
+
+
+class TestLinearPowerCache:
+    """``linear_power`` hands the same cached polynomial to every caller, so
+    no caller may change one."""
+
+    def test_cached_powers_are_left_unchanged(self, monkeypatch):
+        cached = algebra.linear_power
+        handed = []
+
+        def spy(*args, **kwargs):
+            g = cached(*args, **kwargs)
+            handed.append((args, kwargs, g))
+            return g
+
+        for module in (oracle, closed_form):
+            monkeypatch.setattr(module, "linear_power", spy)
+        monkeypatch.setenv("ACI_GB_THREADS", "1")
+        cached.cache_clear()
+        seen = []
+        assert verify_all((3, 3, 3))["ok"]
+        seen.append(len(handed))
+        assert wlp_decide(6, (2, 3, 3, 3, 4, 4), 5).witness is not None
+        seen.append(len(handed))
+        for n, m, k in (GOLDEN, (3, (3, 3, 4), 3)):
+            for s in critical_sets(n, m, k).by_index[n - 1]:
+                assert verify_certificate(build_certificate(s, m, k), m), (n, m, k, s)
+        seen.append(len(handed))
+        # each of the three paths asked for powers, and verify asked twice
+        # for each of its (n, k), once per order
+        assert 0 < seen[0] < seen[1] < seen[2], seen
+        info = cached.cache_info()
+        assert info.hits >= seen[0] // 2 and info.currsize <= info.maxsize, info
+        for args, kwargs, g in handed:
+            assert g == cached.__wrapped__(*args, **kwargs), (args, kwargs)
 
 
 class TestVerifyIsGb:
