@@ -398,39 +398,6 @@ class SparsePoly:
         lm = max(self.terms, key=order.key)
         return lm, self.terms[lm]
 
-    def add(self, other: "SparsePoly") -> "SparsePoly":
-        f = self.field
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            acc = f.norm(terms.get(mono, 0) + c)
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
-        return SparsePoly(self.n, f, terms)
-
-    def mul_term(self, mono: Mono, c) -> "SparsePoly":
-        f = self.field
-        c = f.coerce(c)
-        if not c:
-            return SparsePoly.zero(self.n, f)
-        return SparsePoly(
-            self.n, f, {mono_mul(m, mono): f.norm(v * c) for m, v in self.terms.items()}
-        )
-
-    def mul(self, other: "SparsePoly") -> "SparsePoly":
-        f = self.field
-        terms: dict = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                mono = mono_mul(ma, mb)
-                acc = f.norm(terms.get(mono, 0) + ca * cb)
-                if acc:
-                    terms[mono] = acc
-                else:
-                    terms.pop(mono, None)
-        return SparsePoly(self.n, f, terms)
-
     def fingerprint(self):
         """Hashable canonical form: sorted (mono, coeff) pairs."""
         return tuple(sorted(self.terms.items()))
@@ -465,13 +432,6 @@ def linear_power(n: int, e: int, field: Field = QQ) -> SparsePoly:
     coerce, caps = field.coerce, (e,) * n
     terms = {comp: c for comp in compositions(e, caps) if (c := coerce(multinomial(e, comp)))}
     return SparsePoly(n, field, terms)
-
-
-def normal_form_pure_powers(f: SparsePoly, m: tuple) -> SparsePoly:
-    """Drop every term divisible by some x_i^{m_i}; m may cover only the
-    first variables."""
-    terms = {mono: c for mono, c in f.terms.items() if is_m_free(mono, m)}
-    return SparsePoly(f.n, f.field, terms)
 
 
 class PackedPoly:

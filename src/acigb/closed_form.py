@@ -5,7 +5,9 @@ g_s whose coefficients come in closed form: a sum over divisors of s with
 factorial-ratio weights, or equivalently one explicit coefficient per tail
 monomial.  A certificate construction multiplies a companion polynomial f_s
 by ell^k inside a truncated polynomial ring and lands exactly on g_s, which
-is how membership of g_s in the ideal is witnessed without any division.
+is how membership of g_s in the ideal is witnessed without any division, on
+integers.  Elements, certificates and the counting identity share one divisor
+walk, ``_box_weights``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .algebra import (
     QQ,
@@ -28,9 +30,7 @@ from .algebra import (
     enumerate_m_free,
     grevlex,
     is_m_free,
-    linear_power,
     max_index,
-    normal_form_pure_powers,
 )
 from .initial_ideal import (
     MonomialIdeal,
@@ -52,8 +52,22 @@ def _check_generator_shape(s, j: int, m, k: int, n_total: int) -> None:
         raise ValueError(f"{s} is not critical: x_{j} exponent must be {expected}")
 
 
+def _box_weights(tables, lead, lo: int = 0):
+    """(v, deg v, lead * prod tables[i][v_i]) for every v in the box
+    0 <= v_i < len(tables[i]) with deg v >= lo and a nonzero weight."""
+    for v in itertools.product(*(range(len(f)) for f in tables)):
+        t = sum(v)
+        if t < lo:
+            continue
+        w = lead
+        for f, x in zip(tables, v):
+            w *= f[x]
+        if w:
+            yield v, t, w
+
+
 def _divisor_numerators(s, j: int, m, tail_room: int | None = None):
-    """(s'', deg(s) - deg(s''), num) for every divisor s'' of the head
+    """(s'', deg(s''), num) for every divisor s'' of the head
     s_1 ... s_{j-1} whose weight lambda_{s''} = num / (deg(s) - deg(s''))! is
     nonzero.
 
@@ -62,7 +76,6 @@ def _divisor_numerators(s, j: int, m, tail_room: int | None = None):
     tail degree deg(s) - deg(s'') exceeds tail_room are skipped.
     """
     head = s[: j - 1]
-    d = sum(s)
     factors = [
         [
             factorial(si) // factorial(t) * binom(m[i] - t - 1, si - t)
@@ -70,17 +83,8 @@ def _divisor_numerators(s, j: int, m, tail_room: int | None = None):
         ]
         for i, si in enumerate(head)
     ]
-    lead = factorial(s[j - 1])
-    lo = 0 if tail_room is None else d - tail_room
-    for sdd in itertools.product(*(range(si + 1) for si in head)):
-        t = sum(sdd)
-        if t < lo:
-            continue
-        num = lead
-        for f, x in zip(factors, sdd):
-            num *= f[x]
-        if num:
-            yield sdd, d - t, num
+    lo = 0 if tail_room is None else sum(s) - tail_room
+    return _box_weights(factors, factorial(s[j - 1]), lo)
 
 
 @lru_cache(maxsize=1024)
@@ -107,12 +111,13 @@ def build_gs_divisor_form(s, j: int, m, k: int, n_total: int) -> SparsePoly:
     m = check_degree_vector(m)
     _check_generator_shape(s, j, m, k, n_total)
     s = tuple(s)
+    d = sum(s)
     caps = tuple(mi - 1 for mi in m[j - 1 :])
     terms: dict = {}
     # each (s'', comp) is its own monomial, so no two terms meet; every
     # numerator is positive, so no coefficient is 0
-    for sdd, e, num in _divisor_numerators(s, j, m, sum(caps)):
-        for comp, den in _tail_terms(e, caps):
+    for sdd, t, num in _divisor_numerators(s, j, m, sum(caps)):
+        for comp, den in _tail_terms(d - t, caps):
             terms[sdd + comp] = _fraction(num, den)
     return SparsePoly(n_total, QQ, terms)
 
@@ -161,18 +166,19 @@ def build_gs_tail_form(
 
 @dataclass(frozen=True)
 class Certificate:
-    """Witness that g_s lies in the ideal.
+    """Witness that g_s lies in the ideal: the weights mu_v of the companion
+    polynomial f_s = sum over v | u of mu_v * v * ell^{deg(u) - deg(v)}.
 
     f_s lives in n variables where the last one stands for y; the identity
     g_s = f_s * ell^k holds modulo the pure powers of the first n - 1
-    variables only, with ell = x_1 + ... + x_{n-1} + y.
+    variables only, with ell = x_1 + ... + x_{n-1} + y.  mu holds the
+    (v, mu_v) pairs with mu_v != 0, ascending in v.
     """
 
     s: tuple
     k: int
     u: tuple
     mu: tuple
-    f_s: SparsePoly
 
 
 def _certificate_frame(s, m, k: int):
@@ -195,7 +201,8 @@ def build_certificate(s, m, k: int) -> Certificate:
     """Companion polynomial f_s with one term per divisor of the complement.
 
     u completes s' to the full staircase x_1^{m_1-1} ... x_{n-1}^{m_{n-1}-1};
-    each divisor v of u contributes mu_v * v * ell^{deg(s) - deg(v) - k}.
+    each divisor v of u contributes mu_v * v * ell^{deg(s) - deg(v) - k}, with
+    mu_v = (-1)^deg(v) s_n!/(deg(s) - deg(v))! prod s_i!/v_i! C(m_i - 1 - v_i, u_i - v_i).
     The exponent equals deg(u) - deg(v), so it is never negative once the
     degree condition on s holds.
     """
@@ -203,45 +210,51 @@ def build_certificate(s, m, k: int) -> Certificate:
     n, m_x = _certificate_frame(s, m, k)
     d = sum(s)
     u = tuple(m_x[i] - 1 - s[i] for i in range(n - 1))
-    f = SparsePoly.zero(n, QQ)
-    mu_pairs = []
-    for v in itertools.product(*(range(ui + 1) for ui in u)):
-        dv = sum(v)
-        mu = Fraction(factorial(s[n - 1]), factorial(d - dv))
-        if dv % 2:
-            mu = -mu
-        for i in range(n - 1):
-            mu *= Fraction(factorial(s[i]), factorial(v[i])) * binom(
-                m_x[i] - 1 - v[i], u[i] - v[i]
-            )
-        if mu == 0:
-            continue
-        mu_pairs.append((v, mu))
-        f = f.add(linear_power(n, d - dv - k, QQ).mul_term(v + (0,), mu))
-    return Certificate(
-        s=s,
-        k=k,
-        u=u,
-        mu=tuple(sorted(mu_pairs)),
-        f_s=normal_form_pure_powers(f, m_x),
+    # (-1)^deg(v) splits into one sign per variable
+    tables = [
+        [
+            (-1) ** x * Fraction(factorial(si), factorial(x)) * binom(mi - 1 - x, ui - x)
+            for x in range(ui + 1)
+        ]
+        for si, mi, ui in zip(s, m_x, u)
+    ]
+    # the box walk is lexicographic in v, so mu comes out ascending
+    mu = tuple(
+        (v, Fraction(w, factorial(d - t)))
+        for v, t, w in _box_weights(tables, factorial(s[n - 1]))
     )
+    return Certificate(s=s, k=k, u=u, mu=mu)
 
 
 def verify_certificate(cert: Certificate, m) -> bool:
-    """Check g_s == f_s * ell^k modulo the pure powers on x_1..x_{n-1}."""
+    """Check g_s == f_s * ell^k modulo the pure powers on x_1..x_{n-1}, on
+    integers: both sides times the lcm of the mu_v's denominators, and
+    f_s * ell^k by Horner in ell, one pass per degree of v, then k more."""
     n, m_x = _certificate_frame(cert.s, m, cert.k)
-    product = cert.f_s.mul(linear_power(n, cert.k, QQ))
-    # g_s with a single stand-in variable y for the trailing block, which no
-    # pure power reduces
-    g_s = SparsePoly.from_terms(
-        n,
-        (
-            (sdd + (e,), Fraction(num, factorial(e)))
-            for sdd, e, num in _divisor_numerators(cert.s, n, m_x)
-        ),
-        QQ,
-    )
-    return normal_form_pure_powers(product, m_x) == g_s
+    d = sum(cert.s)
+    scale = lcm(*(mu.denominator for _, mu in cert.mu))
+    layers: dict = {}
+    for v, mu in cert.mu:
+        layers.setdefault(sum(v), []).append((v + (0,), mu.numerator * (scale // mu.denominator)))
+    # y never reaches degree d + 1, so its cap never drops a term
+    caps, poly = m_x + (d + 1,), {}
+    for t in range(sum(cert.u) + cert.k + 1):
+        # times ell, dropping each term past a pure power as it is made
+        step: dict = {}
+        for mono, c in poly.items():
+            for i, cap in enumerate(caps):
+                if mono[i] + 1 < cap:
+                    e = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
+                    step[e] = step.get(e, 0) + c
+        poly = step
+        for v, w in layers.get(t, ()):
+            poly[v] = poly.get(v, 0) + w
+    # scale * g_s, with one stand-in variable y for the trailing block
+    want = {
+        sdd + (d - t,): Fraction(scale * num, factorial(d - t))
+        for sdd, t, num in _divisor_numerators(cert.s, n, m_x)
+    }
+    return {mono: c for mono, c in poly.items() if c} == want
 
 
 def counting_identity(p, q, r) -> bool:
@@ -256,16 +269,12 @@ def counting_identity(p, q, r) -> bool:
     alpha = tuple(pi + qi for pi, qi in zip(p, q))
     if any(ri > ai for ri, ai in zip(r, alpha)):
         raise ValueError("third monomial must divide the product of the first two")
-    lhs = 0
-    for v in itertools.product(*(range(min(pi, ri) + 1) for pi, ri in zip(p, r))):
-        prod = 1
-        for vi, ri, ai, pi in zip(v, r, alpha, p):
-            prod *= binom(ri, vi) * binom(ai - vi, pi - vi)
-        lhs += -prod if sum(v) % 2 else prod
-    rhs = 1
-    for ri, ai, pi in zip(r, alpha, p):
-        rhs *= binom(ai - ri, pi)
-    return lhs == rhs
+    tables = [
+        [(-1) ** x * binom(ri, x) * binom(ai - x, pi - x) for x in range(min(pi, ri) + 1)]
+        for pi, ri, ai in zip(p, r, alpha)
+    ]
+    lhs = sum(w for _, _, w in _box_weights(tables, 1))
+    return lhs == prod(binom(ai - ri, pi) for ri, ai, pi in zip(r, alpha, p))
 
 
 # ---------------------------------------------------------------------------

@@ -171,9 +171,9 @@ def gb_degree_sequence(m_spec, k: int, d_max: int) -> DegreeSequence:
 
 
 def crit_counts(m_spec, k: int):
-    """``crit_level_count`` for n = 1, 2, ... in one pass over the levels;
-    endless for a constant tail, and a finite prefix raises where it runs
-    out, as ``crit_level_count`` does past it."""
+    """Number of m-free basis elements whose leading monomial uses x_n, for
+    n = 1, 2, ... in one pass over the levels; endless for a constant tail,
+    and a finite prefix raises where it runs out."""
     spec = MSpec.coerce(m_spec)
     for n, level in enumerate(_levels(spec, k), 1):
         yield sum(_level_counts(level, spec.entry(n), k)[1])
@@ -181,9 +181,9 @@ def crit_counts(m_spec, k: int):
 
 def crit_level_count(n: int, m_spec, k: int) -> int:
     """Number of m-free basis elements whose leading monomial uses x_n."""
-    spec = MSpec.coerce(m_spec)
-    level = next(islice(_levels(spec, k), max(n - 1, 0), None))
-    return sum(_level_counts(level, spec.entry(n), k)[1])
+    if n < 1:
+        raise ValueError("index must be positive")
+    return next(islice(crit_counts(m_spec, k), n - 1, None))
 
 
 def g3k_sequence(k: int, n_max: int) -> tuple:

@@ -1,5 +1,6 @@
 """Closed-form basis elements, certificates, and the ranking census."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 from math import factorial
@@ -17,6 +18,7 @@ from acigb.algebra import (
     multinomial,
     poly_to_text,
 )
+from acigb import closed_form
 from acigb.closed_form import (
     build_certificate,
     build_gs_divisor_form,
@@ -172,6 +174,15 @@ class TestCoefficientPrimeBound:
                     assert _prime_factors_bounded(c.denominator, max(m))
 
 
+def frame_generators(m, k):
+    """(j, s) for every critical monomial s of index j >= 2, cut to the
+    frame of its first j variables, where its certificate lives."""
+    crit = critical_sets(len(m), m, k)
+    for j in range(2, len(m) + 1):
+        for s in crit.by_index[j - 1]:
+            yield j, s[:j]
+
+
 class TestCertificate:
     def test_golden_certificate(self):
         n, m, k = GOLDEN
@@ -195,6 +206,34 @@ class TestCertificate:
                 for s in crit.by_index[j - 1]:
                     cert = build_certificate(s[:j], m[:j], k)
                     assert verify_certificate(cert, m[:j]), (n, m, k, j, s)
+
+    def test_every_index_beyond_the_grid(self):
+        for m, k in (((3,) * 7, 3), ((4,) * 5, 4), ((2, 3, 4, 5, 6), 3)):
+            for j, s in frame_generators(m, k):
+                assert verify_certificate(build_certificate(s, m[:j], k), m[:j]), (m, k, s)
+
+    def test_changed_weight_fails(self):
+        n, m, k = GOLDEN
+        cert = build_certificate((0, 1, 1, 2), m, k)
+        for i, (v, mu) in enumerate(cert.mu):
+            mu_bad = cert.mu[:i] + ((v, mu + Fraction(1, 7)),) + cert.mu[i + 1 :]
+            assert not verify_certificate(dataclasses.replace(cert, mu=mu_bad), m), v
+
+    def test_changed_numerator_fails_every_certificate(self, monkeypatch):
+        # the certificate is checked against the numerators the basis is
+        # built from, so a wrong one cannot pass unseen
+        real = closed_form._divisor_numerators
+
+        def bumped(*args):
+            for i, (sdd, t, num) in enumerate(real(*args)):
+                yield sdd, t, num + (i == 0)
+
+        m, k = (3,) * 6, 3
+        certs = [(build_certificate(s, m[:j], k), m[:j]) for j, s in frame_generators(m, k)]
+        assert len(certs) == 26
+        assert all(verify_certificate(cert, m_j) for cert, m_j in certs)
+        monkeypatch.setattr(closed_form, "_divisor_numerators", bumped)
+        assert not any(verify_certificate(cert, m_j) for cert, m_j in certs)
 
     def test_rejects_power_exceeding_degree(self):
         with pytest.raises(ValueError):

@@ -204,6 +204,13 @@ def test_monomial_ideals_come_only_from_the_antichain_producers():
     ]
 
 
+def test_closed_form_has_one_divisor_walk():
+    # the divisor sums of the elements, the certificates and the counting
+    # identity all run through _box_weights
+    source = (PACKAGE / "closed_form.py").read_text()
+    assert call_sites(source, "product") == ["_box_weights"]
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # only verify with ACI_GB_THREADS > 1 uses it, and it loads multiprocessing
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
