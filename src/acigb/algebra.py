@@ -586,17 +586,26 @@ def mono_to_text(mono: Mono) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def poly_to_text(f: SparsePoly, order: TermOrder) -> str:
-    """Human-readable infix form, terms sorted descending in the order."""
+def poly_to_text(f: SparsePoly, order: TermOrder, texts: dict | None = None) -> str:
+    """Human-readable infix form, terms sorted descending in the order.
+
+    texts maps a monomial to its ``mono_to_text``, and the call adds each
+    monomial it meets for the first time: a caller that writes many
+    polynomials passes one dict to all of them, so a monomial they share is
+    rendered once.  A standalone call gets a fresh one."""
     if f.is_zero():
         return "0"
-    monos = order.descending(f.terms)
-    pieces = []
-    for i, mono in enumerate(monos):
-        c = f.terms[mono]
-        neg = isinstance(c, Fraction) and c < 0
+    if texts is None:
+        texts = {}
+    get, terms, pieces = texts.get, f.terms, []
+    for i, mono in enumerate(order.descending(terms)):
+        c = terms[mono]
+        # an int coefficient, over F_p, is never written with a minus
+        neg = isinstance(c, Fraction) and c.numerator < 0
         mag = -c if neg else c
-        mtxt = mono_to_text(mono)
+        mtxt = get(mono)
+        if mtxt is None:
+            mtxt = texts[mono] = mono_to_text(mono)
         if mtxt == "1":
             body = str(mag)
         elif mag == 1:
@@ -610,20 +619,39 @@ def poly_to_text(f: SparsePoly, order: TermOrder) -> str:
     return " ".join(pieces)
 
 
-def poly_to_json(f: SparsePoly, order: TermOrder, indent: str) -> str:
+def poly_to_json(
+    f: SparsePoly, order: TermOrder, indent: str, texts: dict | None = None
+) -> str:
     """``{"n": n, "terms": [{"exps": [...], "coeff": "..."}, ...]}`` as JSON
     text, byte for byte as ``json.dumps(indent=2)`` writes it at this indent,
-    terms sorted descending in the order.  One f-string per term: a
-    coefficient is a Fraction or an int, whose str holds only digits, ``-``
-    and ``/``, so it needs no escaping."""
+    terms sorted descending in the order.
+
+    texts maps a monomial to its term's text up to the coefficient, the
+    ``"exps"`` block and the opening quote of ``"coeff"`` at this indent,
+    and the call adds each monomial it meets for the first time: a caller
+    that writes many polynomials in n variables at one indent passes one
+    dict to all of them, so a monomial they share is rendered once.  A
+    standalone call gets a fresh one.  A term is then one lookup and one
+    f-string: a coefficient is a Fraction or an int, whose str holds only
+    digits, ``-`` and ``/``, so it needs no escaping."""
     i2, i4, i6, i8 = (indent + " " * w for w in (2, 4, 6, 8))
     # every exponent tuple has length n; with n = 0 each is written []
     opening, closing = (f"[\n{i8}", f"\n{i6}]") if f.n else ("[", "]")
     head, mid = f'{i4}{{\n{i6}"exps": {opening}', f'{closing},\n{i6}"coeff": "'
     sep, tail, terms = ",\n" + i8, f'"\n{i4}}}', f.terms
-    body = ",\n".join([
-        f"{head}{sep.join(map(str, m))}{mid}{terms[m]}{tail}"
-        for m in order.descending(terms)
-    ])
-    listing = f"[\n{body}\n{i2}]" if terms else "[]"
-    return f'{{\n{i2}"n": {f.n},\n{i2}"terms": {listing}\n{indent}}}'
+    top = f'{{\n{i2}"n": {f.n},\n{i2}"terms": '
+    if not terms:
+        return f"{top}[]\n{indent}}}"
+    if texts is None:
+        texts = {}
+    get, pieces = texts.get, []
+    for m in order.descending(terms):
+        prefix = get(m)
+        if prefix is None:
+            prefix = texts[m] = f"{head}{sep.join(map(str, m))}{mid}"
+        pieces.append(f"{prefix}{terms[m]}{tail}")
+    # the list's brackets join the first and last terms, so that the
+    # element's text is built by one join, not copied again around it
+    pieces[0] = f"{top}[\n{pieces[0]}"
+    pieces[-1] = f"{pieces[-1]}\n{i2}]\n{indent}}}"
+    return ",\n".join(pieces)

@@ -341,23 +341,39 @@ def _check_divisors(ns: argparse.Namespace, m: tuple, order) -> None:
                     " head divisors in one element")
 
 
+def _by_degree(pairs):
+    """(element, texts) for each (lead, element) pair of ``basis_elements``,
+    as it is built.  texts is the monomial text cache that the writers of
+    ``algebra`` fill: the elements come in ascending degree and each is
+    homogeneous, so a fresh dict at each new degree of the lead holds only
+    that degree's monomials."""
+    texts, degree = {}, None
+    for lead, g in pairs:
+        d = sum(lead)
+        if d != degree:
+            texts, degree = {}, d
+        yield g, texts
+
+
 def _cmd_gb(ns: argparse.Namespace) -> tuple:
     # the refusals come in reduced_gb's order: m, the order, then k
     m = check_degree_vector(ns.m, ns.n)
     order = basis_order(ns.n, ns.ranking, ns.order)
     _check_critical(ns)
     _check_divisors(ns, m, order)
-    elements = (g for _, g in basis_elements(ns.n, m, ns.k, order))
+    pairs = basis_elements(ns.n, m, ns.k, order)
     if ns.format == "json":
         payload = {
             "n": ns.n,
             "m": list(m),
             "k": ns.k,
             "order": {"kind": order.kind, "ranking": list(order.ranking)},
-            "elements": (poly_to_json(g, order, "    ") for g in elements),
+            "elements": (
+                poly_to_json(g, order, "    ", texts) for g, texts in _by_degree(pairs)
+            ),
         }
         return _json_chunks(payload, rendered="elements"), True
-    lines = (poly_to_text(g, order) for g in elements)
+    lines = (poly_to_text(g, order, texts) for g, texts in _by_degree(pairs))
     if ns.format == "text":
         return _joined(lines, "\n"), True
     return _joined(lines, ",\n  ", "{\n  ", "\n}\n"), True

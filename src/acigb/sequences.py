@@ -36,9 +36,6 @@ __all__ = [
     "n_of_degree",
     "max_gb_degree",
     "classical_row",
-    "motzkin",
-    "riordan",
-    "catalan",
     "convolve",
     "convolution_check",
     "catalan_convolution_check_m2",
@@ -252,18 +249,6 @@ def classical_row(family: str, n_max: int) -> list:
     for n in range(2, n_max + 1):
         row.append(step(n, row[-2], row[-1]))
     return row[: n_max + 1]
-
-
-def catalan(n: int) -> int:
-    return classical_row("catalan", n)[n]
-
-
-def motzkin(n: int) -> int:
-    return classical_row("motzkin", n)[n]
-
-
-def riordan(n: int) -> int:
-    return classical_row("riordan", n)[n]
 
 
 def convolve(a, b) -> tuple:

@@ -22,12 +22,11 @@ from acigb.initial_ideal import critical_sets, minimal_generators, pure_power_re
 from acigb.paths import reflection_bijection_check
 from acigb.sequences import (
     catalan_convolution_check_m2,
+    classical_row,
     convolution_check,
     g3k_sequence,
     log_concavity_check,
     max_gb_degree,
-    motzkin,
-    riordan,
     s_catalan_triangle,
 )
 from acigb.wlp import wlp_decide, wlp_threshold_equigenerated
@@ -147,8 +146,9 @@ def test_criterion_06_convolution_theorems():
         assert convolution_check(k, 10), k
     for k in range(1, 5):
         assert catalan_convolution_check_m2(k, 10), k
+    motzkin, riordan = classical_row("motzkin", 20), classical_row("riordan", 21)
     for n in range(21):
-        assert motzkin(n) == riordan(n) + riordan(n + 1), n
+        assert motzkin[n] == riordan[n] + riordan[n + 1], n
 
 
 def test_criterion_07_census():

@@ -588,3 +588,45 @@ class TestSerialization:
         f = P(n, items)
         expected = json.dumps(reference_tree(f, order), indent=2)
         assert poly_to_json(f, order, indent) == expected.replace("\n", "\n" + indent)
+
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                # small exponents of mixed degrees: the polynomials share
+                # monomials, and one list holds several degrees
+                st.lists(
+                    st.lists(
+                        st.tuples(
+                            st.tuples(*([st.integers(0, 3)] * n)),
+                            st.one_of(
+                                st.integers(-10**6, 10**6),
+                                st.fractions(max_denominator=50),
+                            ),
+                        ),
+                        max_size=8,
+                    ),
+                    max_size=6,
+                ),
+                st.sampled_from(["grevlex", "grlex"]),
+                st.permutations(range(1, n + 1)),
+            )
+        ),
+        st.sampled_from(["", "  ", "    "]),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_shared_monomial_texts_change_nothing(self, case, indent):
+        # writing a list through one texts dict, as gb does within a degree,
+        # gives the text of a fresh call per polynomial
+        n, polys, kind, ranking = case
+        order = TermOrder(kind, tuple(ranking))
+        fs = [P(n, items) for items in polys]
+        as_json, as_text = {}, {}
+        assert [poly_to_json(f, order, indent, as_json) for f in fs] == [
+            poly_to_json(f, order, indent) for f in fs
+        ]
+        assert [poly_to_text(f, order, as_text) for f in fs] == [
+            poly_to_text(f, order) for f in fs
+        ]
+        monos = {m for f in fs for m in f.terms}
+        assert set(as_json) == set(as_text) == monos

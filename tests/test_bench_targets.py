@@ -11,6 +11,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -90,3 +91,37 @@ def test_wlp_modp_jobs_replay(capsys):
         out, err = capsys.readouterr()
         assert (code, err) == (0, ""), job["id"]
         assert hashlib.sha256(out.encode()).hexdigest() == job["sha256"], job["id"]
+
+
+# Run in a fresh interpreter, so the wrappers that ``install`` puts on acigb
+# never reach another test; -B leaves perfbench/ without a bytecode cache.
+TRACED_GB = """
+import contextlib, io, json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import layer_trace
+from acigb import cli
+tracer = layer_trace.Tracer()
+layer_trace.install(tracer)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[3:])
+json.dump({"code": code, **tracer.aggregates()}, sys.stdout)
+"""
+
+
+@pytest.mark.parametrize("fmt, writer", [("json", "poly_to_json"), ("text", "poly_to_text")])
+def test_layer_counters_count_the_golden_basis(fmt, writer):
+    """The per-layer counters of the golden basis keep counting: one writer
+    call per element and one build per critical monomial, through whatever
+    the writers are called from."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["gb", "--m", "eq:3:9", "--k", "3", "--format", fmt]
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", TRACED_GB, str(PERFBENCH), str(src), *argv],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    stats = json.loads(done.stdout)
+    other = "poly_to_text" if writer == "poly_to_json" else "poly_to_json"
+    assert stats["code"] == 0
+    assert stats[f"algebra.{writer}.calls"] == 394
+    assert stats[f"algebra.{other}.calls"] == 0
+    assert stats["closed_form.build_gs_divisor_form.calls"] == 385

@@ -211,6 +211,22 @@ PINNED_DIGESTS = [
      "ce8e8ce6f7443dbbf74f10547720c3417cdfbc453a455bda9cb596a42253a8b3"),
     (["crit", "--m", "4,4,4,4,4,4,4,4,4,4", "--k", "14", "--format", "json"],
      "8c2d5a328234347be941b793f105371e10a9015cd2cc658aade250f5dcf3bc15"),
+    # bases over several degrees, recorded before gb's writers shared one
+    # monomial text per degree: six degrees through the relabeled frame,
+    # then the golden case (394 elements) in text and m2
+    (["gb", "--m", "3,2,4,3,2,3", "--k", "3", "--ranking", "4,1,6,2,5,3", "--order",
+      "grlex", "--format", "text"],
+     "7889f037a8872bc60404fd6a17c233b678d188c51937e7b2a5ec540375fec592"),
+    (["gb", "--m", "3,2,4,3,2,3", "--k", "3", "--ranking", "4,1,6,2,5,3", "--order",
+      "grlex", "--format", "m2"],
+     "85747d8a397dab5529fdde2e38c487c15b8c5deb171b1bd76f069d47044ce48f"),
+    (["gb", "--m", "3,2,4,3,2,3", "--k", "3", "--ranking", "4,1,6,2,5,3", "--order",
+      "grlex", "--format", "json"],
+     "34383a8f351197e036795fac192c4e5cc59adc26e5ebaf9081fa530d1a28eb19"),
+    (["gb", "--m", "eq:3:9", "--k", "3", "--format", "text"],
+     "78829802c958b4270b22091b33c32f88b0814e958a4dfd8cb9821bf5c9080991"),
+    (["gb", "--m", "eq:3:9", "--k", "3", "--format", "m2"],
+     "cac8d0e5c0811b9f7fd8b224e0991ba3d3e2ee84589b35d94090c6a49ea9e81d"),
 ]
 
 
@@ -671,6 +687,33 @@ class TestStreaming:
         whole = Sink()
         run_into(whole, ["gb", "--m", "3,2,2,3", "--k", "2", "--format", fmt])
         assert "".join(sink.chunks) == "".join(whole.chunks)
+
+    @pytest.mark.parametrize("name, fmt", [("poly_to_json", "json"), ("poly_to_text", "text"),
+                                           ("poly_to_text", "m2")])
+    def test_monomial_texts_hold_one_degree(self, monkeypatch, capsys, name, fmt):
+        # the writers share one texts dict per degree of the lead: it never
+        # holds the monomials of two degrees, and each degree gets one
+        write = getattr(cli_module, name)
+        seen, dicts = [], []
+
+        def spying(g, *args):
+            text = write(g, *args)
+            texts = args[-1]
+            if not any(texts is d for d in dicts):
+                dicts.append(texts)
+            seen.append((sum(next(iter(g.terms))), {sum(m) for m in texts}))
+            return text
+
+        monkeypatch.setattr(cli_module, name, spying)
+        argv = ["gb", "--m", "3,2,4,3,2,3", "--k", "3", "--ranking", "4,1,6,2,5,3",
+                "--order", "grlex", "--format", fmt]
+        code, _, err = invoke(argv, capsys)
+        assert (code, err) == (0, "")
+        basis = reduced_gb(6, (3, 2, 4, 3, 2, 3), 3, ranking=(4, 1, 6, 2, 5, 3), kind="grlex")
+        assert len(seen) == len(basis.elements)
+        assert all(held == {degree} for degree, held in seen), seen
+        assert [degree for degree, _ in seen] == sorted(degree for degree, _ in seen)
+        assert len(dicts) == len({degree for degree, _ in seen}) == 6
 
     @pytest.mark.parametrize(
         "argv",

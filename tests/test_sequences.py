@@ -17,8 +17,8 @@ from acigb.initial_ideal import (
 from acigb.hilbert import hf, hs_complete_intersection, socle_degrees
 from acigb.sequences import (
     MSpec,
-    catalan,
     catalan_convolution_check_m2,
+    classical_row,
     convolution_check,
     convolve,
     crit_counts,
@@ -27,9 +27,7 @@ from acigb.sequences import (
     gb_degree_sequence,
     log_concavity_check,
     max_gb_degree,
-    motzkin,
     n_of_degree,
-    riordan,
     s_binom,
     s_catalan_triangle,
     spin_catalan_degeneracies,
@@ -46,6 +44,18 @@ TABLE_CUBES = {
     5: (1, 2, 6, 15, 40, 105, 280, 750, 2025),
     6: (1, 3, 9, 25, 69, 189, 518, 1422, 3915),
 }
+
+
+def catalan(n: int) -> int:
+    return classical_row("catalan", n)[n]
+
+
+def motzkin(n: int) -> int:
+    return classical_row("motzkin", n)[n]
+
+
+def riordan(n: int) -> int:
+    return classical_row("riordan", n)[n]
 
 
 def direct_degree_counts(n: int, m, k: int) -> Counter:
