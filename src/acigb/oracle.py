@@ -8,8 +8,19 @@ tautology.  Works over the rationals or a prime field.
 The reductions run on the packed keys of ``algebra.PackedLayout``, one int
 per monomial whose integer order is the term order: the lead tables, the
 pair rules, the S-polynomials and every ``reduce_full`` stay packed from the
-first pair to the end of the interreduction, and every pair made is
-reduced.  ``buchberger`` takes and returns ``SparsePoly`` polynomials.
+first pair to the end of the interreduction.  ``buchberger`` takes and
+returns ``SparsePoly`` polynomials.
+
+``oracle_reduced_gb`` runs the pair loop Hilbert-driven (Traverso, J.
+Symbolic Comput. 22, 1996), with a lower bound in place of a known Hilbert
+function: ``hilbert_floor`` gives T(d) <= HF(R/I)(d) in every
+characteristic, and the leads L lie in in(I), so
+#std_d(L) >= HF(R/in(I))(d) = HF(R/I)(d) >= T(d).  Once the leads leave
+exactly T(d) standard monomials in degree d they span in(I) there, and every
+S-pair still waiting in degree d reduces to zero: it is dropped unreduced.
+Where the bound is not met, as where the weak Lefschetz property fails over
+F_p, every pair is reduced.  The argument needs homogeneous generators, so
+``buchberger`` with no floor, as on any other system, reduces every pair.
 """
 
 from __future__ import annotations
@@ -39,7 +50,8 @@ from .algebra import (
     reduce_full,
 )
 from .closed_form import GroebnerBasis, sort_elements
-from .initial_ideal import MonomialIdeal
+from .hilbert import hf, hs_complete_intersection
+from .initial_ideal import MonomialIdeal, standard_levels
 
 
 @dataclass(frozen=True)
@@ -128,7 +140,7 @@ def _start_bound(gens: list) -> int:
     return sum(g.degree() for g in gens if not g.is_zero())
 
 
-def buchberger(gens: list, cfg: OracleConfig) -> tuple:
+def buchberger(gens: list, cfg: OracleConfig, floor: tuple | None = None) -> tuple:
     """Reduced Groebner basis of the ideal the generators span, as (leading
     monomial, monic element) pairs.
 
@@ -144,21 +156,33 @@ def buchberger(gens: list, cfg: OracleConfig) -> tuple:
     ``PackedLayout``.  Its bound (``_start_bound``) must hold every term
     of a reduction, and in a graded order none lies above the S-pair's lcm:
     a pair whose lcm does not fit restarts the run on a wider layout.
+
+    floor, when given, is ``hilbert_floor`` of the power-sum ideal the
+    generators span, indexed by degree and 0 beyond: before a pair of degree
+    d is popped, ``initial_ideal.standard_levels`` counts the standard
+    monomials the leads leave in degree d, and if they are exactly floor[d]
+    every pair of degree d is dropped.  Only ``oracle_reduced_gb`` passes
+    it; on other generators, inhomogeneous ones above all, the argument
+    fails, and with no floor every pair is reduced.
     """
     field = cfg.field
     layout = PackedLayout(cfg.order, _start_bound(gens))
     while True:
         try:
-            table = _lead_basis(gens, layout, field)
+            table = _lead_basis(gens, layout, field, floor=floor)
         except _Overflow as err:
             layout = PackedLayout(cfg.order, max(2 * layout.bound, err.args[0]))
         else:
             return tuple(_interreduce(table, layout, field))
 
 
-def _lead_basis(gens: list, layout: PackedLayout, field: Field) -> list:
+def _lead_basis(
+    gens: list, layout: PackedLayout, field: Field, *, floor: tuple | None = None
+) -> list:
     """The lead table of a Groebner basis of (gens): ``buchberger``'s pair
-    loop on the keys of layout.
+    loop on the keys of layout, dropping the pairs of each degree where the
+    standard monomials have come down to floor (see ``buchberger``).  The
+    walk runs on the layout's keys, so a restart starts it again.
 
     The pair rules read each lead as its exponent code
     E = sign * (one - (key & mask)), one field of the layout per variable
@@ -209,14 +233,42 @@ def _lead_basis(gens: list, layout: PackedLayout, field: Field) -> list:
 
     for entry in table:
         update(entry[1])
+    if floor is not None:
+        levels = standard_levels(layout, {entry[1] for entry in table})
+        level, at = next(levels), 0
     while heap:
+        if floor is not None:
+            deg = heap[0][0] >> top
+            while at < deg:
+                level, at = next(levels), at + 1
+            if len(level) == (floor[deg] if deg < len(floor) else 0):
+                # the leads span the initial ideal in degree deg
+                while heap and heap[0][0] >> top == deg:
+                    heapq.heappop(heap)
+                continue
         lcm, i, j = heapq.heappop(heap)
         h = reduce_full(spoly(table[i], table[j], lcm, layout, field), table)
         if not h.is_zero():
             entry = lead_entry(h)
             table.append(entry)
             update(entry[1])
+            if floor is not None:
+                # the generators are homogeneous, so the new lead is a
+                # standard monomial of degree deg; without it, level deg
+                # reaches none of its multiples
+                del level[entry[1]]
     return table
+
+
+def hilbert_floor(m, k: int) -> tuple:
+    """T(d) = max(0, h(d) - h(d - k)) for d through the top degree of h, the
+    Hilbert function of R/(x_1^{m_1}, ..., x_n^{m_n}); T is 0 beyond.
+
+    Multiplying by (x_1 + ... + x_n)^k from degree d - k has rank at most
+    h(d - k), so HF(R/I)(d) >= T(d) for I = (x^m, (x_1 + ... + x_n)^k) over
+    any field."""
+    h = hs_complete_intersection(m)
+    return tuple(max(0, h[d] - hf(h, d - k)) for d in range(len(h)))
 
 
 def oracle_reduced_gb(n: int, m, k: int, cfg: OracleConfig | None = None) -> GroebnerBasis:
@@ -224,7 +276,7 @@ def oracle_reduced_gb(n: int, m, k: int, cfg: OracleConfig | None = None) -> Gro
     if cfg is None:
         cfg = OracleConfig(order=grevlex(n))
     gens = power_sum_generators(n, m, k, cfg.field)
-    leads, elements = sort_elements(buchberger(gens, cfg), cfg.order)
+    leads, elements = sort_elements(buchberger(gens, cfg, hilbert_floor(m, k)), cfg.order)
     return GroebnerBasis(n, tuple(m), k, cfg.order, elements, leads)
 
 

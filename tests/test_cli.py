@@ -18,6 +18,7 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
@@ -37,6 +38,7 @@ from acigb.cli import (
     write_atomic,
 )
 from acigb.hilbert import socle_degrees
+from acigb.initial_ideal import MonomialIdeal
 from acigb.paths import ReflectionLine, path_from_monomial, reflect
 from acigb.sequences import MSpec
 
@@ -1375,6 +1377,25 @@ class TestVerifyAll:
             "n": 2, "m": [3, 3], "k": 1,
             "gb_grevlex": False, "gb_grlex": False, "hilbert": False, "ok": False,
         }
+
+
+    def test_hilbert_is_counted_past_the_series_end(self, monkeypatch):
+        # (2, 2, 2) with k = 1 has the truncated series 1, 2; an initial
+        # ideal (x1) agrees there but leaves x2*x3 standard in degree 2,
+        # where the series has ended, and the count runs on until the
+        # quotient vanishes
+        real = cli_module.oracle_reduced_gb
+
+        def too_small(n, m, k, cfg):
+            basis = real(n, m, k, cfg)
+            return SimpleNamespace(
+                fingerprint=basis.fingerprint,
+                initial_ideal=lambda: MonomialIdeal(3, ((1, 0, 0),)),
+            )
+
+        monkeypatch.setattr(cli_module, "oracle_reduced_gb", too_small)
+        row = cli_module._verify_case((3, (2, 2, 2), 1, False))
+        assert row["gb_grevlex"] and row["gb_grlex"] and not row["hilbert"]
 
 
 class TestRender:

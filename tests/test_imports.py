@@ -1,7 +1,8 @@
 """The modules of the package import each other without a cycle, none of
 them computes with floats, no module of the package or the tests imports a
 name it never reads, only the two antichain producers build a
-``MonomialIdeal``, and the CLI starts without the process pool.
+``MonomialIdeal``, standard monomials are counted by one walk, and the CLI
+starts without the process pool.
 
 Imports and calls are read from the source with ``ast``, so an import
 inside a function body counts as much as one at module level.
@@ -209,6 +210,44 @@ def test_closed_form_has_one_divisor_walk():
     # identity all run through _box_weights
     source = (PACKAGE / "closed_form.py").read_text()
     assert call_sites(source, "product") == ["_box_weights"]
+
+
+def level_count_sites(source: str) -> list:
+    """Functions of a source that both enumerate a level of monomials
+    (``enumerate_m_free`` or ``compositions``) and test ideal membership
+    (``.contains``): the shape of counting standard monomials by scan."""
+    walks = set(call_sites(source, "enumerate_m_free") + call_sites(source, "compositions"))
+    return sorted(walks & set(call_sites(source, "contains")))
+
+
+def test_level_count_reader_sees_every_form():
+    source = (
+        "def f(ideal):\n"
+        "    return sum(1 for s in enumerate_m_free(2, m, 3) if not ideal.contains(s))\n"
+        "def g(ideal):\n"
+        "    return [t for t in algebra.compositions(3, c) if ideal.contains(t)]\n"
+        "def h(ideal):\n"
+        "    return enumerate_m_free(2, m, 3), ideal\n"
+    )
+    assert level_count_sites(source) == ["f", "g"]
+
+
+def test_standard_monomials_are_counted_by_one_walk():
+    # the tail form lists the tail monomials of one element and the segment
+    # check tests a revlex property; neither counts a quotient, and every
+    # count goes through initial_ideal.standard_levels
+    found = sorted(
+        f"{path.stem}.{site}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in level_count_sites(path.read_text())
+    )
+    assert found == ["closed_form.build_gs_tail_form", "initial_ideal.check_revlex_segment"]
+    walkers = sorted(
+        f"{path.stem}.{site}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in call_sites(path.read_text(), "standard_levels")
+    )
+    assert walkers == ["initial_ideal.hilbert_counts", "oracle._lead_basis"]
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

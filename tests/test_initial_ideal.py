@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from acigb.algebra import PackedLayout, TermOrder, compositions, grevlex
 from acigb.closed_form import reduced_gb
 from acigb.hilbert import hf, hs_complete_intersection, truncate_lefschetz
 from acigb.initial_ideal import (
@@ -19,9 +20,11 @@ from acigb.initial_ideal import (
     critical_sets_paths,
     enumerate_m_free,
     hf_quotient,
+    hilbert_counts,
     minimal_generators,
     minimalize_monomials,
     pure_power_removed,
+    standard_levels,
 )
 
 GOLDEN = (4, (3, 2, 2, 3), 2)
@@ -261,6 +264,77 @@ class TestQuotientCounts:
             top = sum(mi - 1 for mi in m) + 1
             for d in range(top + 1):
                 assert hf_quotient(n, m, k, d, ideal) == hf(series, d), (n, m, k, d)
+
+    @staticmethod
+    def random_leads(rng, n):
+        """A few random monomials plus a power of each variable, so every
+        standard monomial stays within the box below those powers."""
+        powers = [rng.randint(1, 4) for _ in range(n)]
+        leads = {tuple(p if t == i else 0 for t in range(n)) for i, p in enumerate(powers)}
+        for _ in range(rng.randint(0, 5)):
+            leads.add(tuple(rng.randint(0, p) for p in powers))
+        return powers, leads
+
+    def test_walk_matches_a_scan(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            n = rng.randint(1, 5)
+            powers, leads = self.random_leads(rng, n)
+            ranking = tuple(rng.sample(range(1, n + 1), n))
+            layout = PackedLayout(TermOrder(rng.choice(("grevlex", "grlex")), ranking), 4)
+            levels = standard_levels(layout, {layout.pack(u) for u in leads})
+            for d in range(sum(powers)):
+                level = next(levels)
+                want = {
+                    u for u in compositions(d, powers)
+                    if not any(mono_divides(g, u) for g in leads)
+                }
+                got = {layout.unpack(key): bits for key, bits in level.items()}
+                assert set(got) == want, (leads, d)
+                for u, bits in got.items():
+                    assert bits == sum(1 << i for i, e in enumerate(u) if e), (u, bits)
+            assert next(levels) == {}
+
+    def test_caller_may_grow_the_leads_between_steps(self):
+        # deleting a key of the level just yielded, or adding a lead of a
+        # later degree, walks on as a fresh walk of the larger set of leads
+        rng = random.Random(32)
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            powers, leads = self.random_leads(rng, n)
+            layout = PackedLayout(grevlex(n), 4)
+            keys = {layout.pack(u) for u in leads}
+            levels = standard_levels(layout, keys)
+            for d in range(sum(powers) + 1):
+                level = next(levels)
+                fresh = standard_levels(layout, set(keys))
+                for _ in range(d + 1):
+                    want = next(fresh)
+                assert level == want, (leads, d)
+                if level and rng.random() < 0.5:
+                    key = rng.choice(sorted(level))
+                    del level[key]
+                    keys.add(key)
+                u = tuple(rng.randint(0, p) for p in powers)
+                if sum(u) > d:
+                    keys.add(layout.pack(u))
+
+    def test_counts_any_ideal_as_a_scan_does(self):
+        # generators that are not m-free count for nothing, and the pure
+        # powers bound the walk even for an ideal without them
+        rng = random.Random(33)
+        for _ in range(100):
+            n = rng.randint(1, 4)
+            m = tuple(rng.randint(2, 4) for _ in range(n))
+            gens = minimalize_monomials(
+                tuple(rng.randint(0, 5) for _ in range(n)) for _ in range(rng.randint(0, 4))
+            )
+            ideal = MonomialIdeal(n, gens)
+            counts = hilbert_counts(n, m, ideal)
+            assert counts[-1] == 0 and all(counts[:-1])
+            for d in range(-1, len(counts) + 2):
+                want = sum(1 for s in enumerate_m_free(n, m, max(d, 0)) if not ideal.contains(s))
+                assert hf_quotient(n, m, 1, d, ideal) == (want if d >= 0 else 0), (m, gens, d)
 
 
 class TestStructure:

@@ -30,9 +30,20 @@ from acigb.algebra import (
 )
 from acigb import algebra, oracle
 from acigb.cli import main, verify_all
-from acigb.closed_form import build_certificate, reduced_gb, verify_certificate
+from acigb.closed_form import (
+    GroebnerBasis,
+    build_certificate,
+    reduced_gb,
+    sort_elements,
+    verify_certificate,
+)
 from acigb.hilbert import hf, hs_complete_intersection, truncate_lefschetz
-from acigb.initial_ideal import critical_sets, hf_quotient, minimal_generators
+from acigb.initial_ideal import (
+    critical_sets,
+    hf_quotient,
+    hilbert_counts,
+    minimal_generators,
+)
 from acigb.oracle import (
     OracleConfig,
     buchberger,
@@ -445,6 +456,97 @@ class TestPairRulesOnCodes:
             own = [SparsePoly.from_terms(g.n, g.terms.items(), cfg.field) for g in gens]
             layout = PackedLayout(cfg.order, oracle._start_bound(own))
             assert oracle._lead_basis(own, layout, cfg.field)
+
+
+class TestHilbertSkip:
+    """``oracle_reduced_gb`` drops a degree's S-pairs once the leads leave
+    ``hilbert_floor``'s count of standard monomials there; ``buchberger``
+    with no floor reduces every pair."""
+
+    # (n values, largest k, primes with None for Q, order kinds)
+    SETS = (
+        ((2, 3, 4), 4, (None, 2, 3, 5, 7), (grevlex, grlex)),
+        ((5,), 3, (None, 2, 3, 5), (grevlex,)),
+    )
+    # (m, p, d): times ell from degree d loses rank over F_p, the witnesses
+    # ``wlp`` reports (perfbench/catalogue.json), so R/(x^m, ell) has more
+    # than T(d + 1) standard monomials in degree d + 1
+    WLP_FAILS = (
+        ((3,) * 6, 5, 4),
+        ((2,) * 7, 3, 2),
+        ((2, 3, 3, 3, 4, 4), 5, 4),
+        ((4,) * 5, 7, 6),
+    )
+
+    def cases(self):
+        for ns, k_max, primes, orders in self.SETS:
+            for n in ns:
+                for m in itertools.combinations_with_replacement((2, 3, 4), n):
+                    for k, p, order_of in itertools.product(
+                        range(1, k_max + 1), primes, orders
+                    ):
+                        yield n, m, k, OracleConfig(order_of(n), p)
+
+    @staticmethod
+    def plain_counts(n, m, k, cfg):
+        """HF(R/in(I)) degree by degree, counted by the walk on the leads of
+        the basis ``buchberger`` finds with no floor."""
+        gens = power_sum_generators(n, m, k, cfg.field)
+        leads, elements = sort_elements(buchberger(gens, cfg), cfg.order)
+        ideal = GroebnerBasis(n, m, k, cfg.order, elements, leads).initial_ideal()
+        return hilbert_counts(n, m, ideal)
+
+    def test_skip_leaves_every_reduced_basis_unchanged(self, monkeypatch):
+        zeros = dict.fromkeys(itertools.product(("plain", "floored"), (None, 2, 3, 5, 7)), 0)
+        side = [None]
+        reduce = oracle.reduce_full
+
+        def counted(f, table):
+            h = reduce(f, table)
+            zeros[side[0]] += h.is_zero()
+            return h
+
+        monkeypatch.setattr(oracle, "reduce_full", counted)
+        for n, m, k, cfg in self.cases():
+            side[0] = ("plain", cfg.p)
+            gens = power_sum_generators(n, m, k, cfg.field)
+            want = sort_elements(buchberger(gens, cfg), cfg.order)
+            side[0] = ("floored", cfg.p)
+            got = oracle_reduced_gb(n, m, k, cfg)
+            assert (got.leads, got.elements) == want, (n, m, k, cfg)
+        # the skip fired in every field, and over Q, where the floor is the
+        # Hilbert function, it took nearly every zero reduction
+        for p in (None, 2, 3, 5, 7):
+            assert zeros["floored", p] < zeros["plain", p], (p, zeros)
+        assert 10 * zeros["floored", None] < zeros["plain", None], zeros
+
+    def test_floor_never_exceeds_the_quotient(self):
+        # the one unsafe direction: a floor above HF(R/in(I)) in some degree
+        # would skip pairs that still add leads
+        for n, m, k, cfg in self.cases():
+            floor = oracle.hilbert_floor(m, k)
+            counts = self.plain_counts(n, m, k, cfg)
+            for d in range(max(len(floor), len(counts))):
+                assert hf(floor, d) <= hf(counts, d), (n, m, k, cfg, d)
+
+    def test_no_skip_where_wlp_fails(self):
+        # the leads never get below HF(R/in(I)), which lies above the floor
+        # in the deficient degree, so the skip cannot fire there
+        for m, p, d in self.WLP_FAILS:
+            n = len(m)
+            h = hs_complete_intersection(m)
+            assert multiplication_rank(n, m, p, d) < min(hf(h, d), hf(h, d + 1))
+            floor = oracle.hilbert_floor(m, 1)
+            counts = self.plain_counts(n, m, 1, OracleConfig(grevlex(n), p))
+            assert floor[d + 1] < counts[d + 1], (m, p, d)
+            got = oracle_reduced_gb(n, m, 1, OracleConfig(grevlex(n), p))
+            assert hilbert_counts(n, m, got.initial_ideal()) == counts, (m, p)
+
+    def test_golden_nine_variables_matches_closed_form(self):
+        # (3,)^9 with k = 3: 394 elements, thousands of S-pairs; the skip
+        # makes it cheap enough to run on every test pass
+        got = oracle_reduced_gb(9, (3,) * 9, 3).fingerprint()
+        assert got == reduced_gb(9, (3,) * 9, 3).fingerprint()
 
 
 class TestLinearPowerCache:
