@@ -129,40 +129,6 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(map(operator.add, a, b))
 
 
-# Packed divisibility.  An exponent vector packs into one int with a bit
-# field per variable, the first variable lowest; each field holds the
-# exponent clamped to cap under a guard bit.  Setting every guard bit of h
-# and subtracting g borrows across no field, since g's fields are at most
-# cap, and leaves a field's guard bit set exactly when h_i >= g_i.  So for
-# every g with exponents at most cap, g | h iff
-# ((pack(h) | guard) - pack(g)) & guard == guard; clamping h to cap changes
-# no such comparison.  Callers test a candidate against a whole list at
-# once, which keeps the test to one integer operation per generator.
-
-
-def packing(n: int, cap: int) -> tuple:
-    """(width, guard) of the packed layout for n variables and exponent cap."""
-    width = cap.bit_length() + 1
-    return width, sum(1 << (i * width + width - 1) for i in range(n))
-
-
-def mono_pack(mono: Mono, width: int, cap: int) -> int:
-    """A non-negative exponent vector packed, each exponent clamped to cap."""
-    out = 0
-    for e in reversed(mono):
-        out = (out << width) | (e if e < cap else cap)
-    return out
-
-
-def packed_divides_any(gens, h: int, guard: int) -> bool:
-    """Whether some packed monomial in gens divides the packed monomial h."""
-    h |= guard
-    for g in gens:
-        if (h - g) & guard == guard:
-            return True
-    return False
-
-
 def max_index(mono: Mono) -> int:
     """Largest 1-based index of a variable dividing the monomial, 0 for 1."""
     for i in range(len(mono) - 1, -1, -1):
@@ -300,10 +266,10 @@ class PackedLayout:
     """Monomials of degree at most bound as one int each, whose integer order
     is the term order (Monagan & Pearce, CASC 2007).
 
-    The exponents, permuted by the ranking, fill one ``packing(n, bound)``
-    field each below the degree in the top bits: grevlex fields hold
-    bound - e_n, ..., bound - e_1 and grlex fields e_1, ..., e_n, most
-    significant first.  The key is linear in the exponents, so
+    The exponents, permuted by the ranking, fill one field each, wide enough
+    for bound under a guard bit, below the degree in the top bits: grevlex
+    fields hold bound - e_n, ..., bound - e_1 and grlex fields e_1, ..., e_n,
+    most significant first.  The key is linear in the exponents, so
     key(a * b) = key(a) + key(b) - key(1) while a * b fits.  With
     ``code(key) = guard + sign * (field bits of key)``, sign 1 in grevlex and
     -1 in grlex, a divides b iff
@@ -316,7 +282,8 @@ class PackedLayout:
 
     def __init__(self, order: TermOrder, bound: int):
         n = order.n
-        width, guard = packing(n, bound)
+        width = bound.bit_length() + 1
+        guard = sum(1 << (i * width + width - 1) for i in range(n))
         top = n * width
         # field j of the ranked exponents sits at bit j * width in grevlex,
         # (n - 1 - j) * width in grlex

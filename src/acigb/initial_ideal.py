@@ -14,6 +14,7 @@ test.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .algebra import (
@@ -25,30 +26,25 @@ from .algebra import (
     grevlex,
     is_m_free,
     max_index,
-    mono_pack,
-    packed_divides_any,
-    packing,
 )
 from . import paths as _paths
 from .hilbert import hf
 
 
+def _divides_any(gens, mono) -> bool:
+    """Whether some exponent tuple in gens divides mono."""
+    return any(all(map(operator.le, g, mono)) for g in gens)
+
+
 def minimalize_monomials(gens) -> tuple:
     """Antichain of the divisibility-minimal elements, sorted descending."""
     gens = sorted(set(gens), key=sum)
-    if not gens:
-        return ()
-    n = len(gens[0])
-    cap = max(max(g, default=0) for g in gens)
-    width, guard = packing(n, cap)
-    keep, packed = [], []
+    keep: list = []
     # ascending degree, so every proper divisor of g is seen before g
     for g in gens:
-        p = mono_pack(g, width, cap)
-        if not packed_divides_any(packed, p, guard):
+        if not _divides_any(keep, g):
             keep.append(g)
-            packed.append(p)
-    return tuple(grevlex(n).descending(keep))
+    return tuple(grevlex(len(gens[0])).descending(keep)) if keep else ()
 
 
 @dataclass(frozen=True)
@@ -56,35 +52,18 @@ class MonomialIdeal:
     """A monomial ideal carried by its minimal generators, an antichain the
     caller passes unchecked: ``minimal_generators`` (the level recursion) and
     ``closed_form.GroebnerBasis.initial_ideal`` (leads minimal in the closed
-    form or by ``oracle._interreduce``) are its only producers.
-
-    The generators are also kept packed (``algebra.packing``), with the cap
-    at their largest exponent, so each divisibility test is one integer
-    operation; the packed fields take no part in equality or hashing.
-    """
+    form or by ``oracle._interreduce``) are its only producers."""
 
     n: int
     min_gens: tuple
-    _width: int = field(init=False, repr=False, compare=False)
-    _cap: int = field(init=False, repr=False, compare=False)
-    _guard: int = field(init=False, repr=False, compare=False)
-    _packed: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for g in self.min_gens:
             if len(g) != self.n:
                 raise ValueError("generator arity mismatch")
-        cap = max((max(g, default=0) for g in self.min_gens), default=0)
-        width, guard = packing(self.n, cap)
-        packed = tuple(mono_pack(g, width, cap) for g in self.min_gens)
-        object.__setattr__(self, "_width", width)
-        object.__setattr__(self, "_cap", cap)
-        object.__setattr__(self, "_guard", guard)
-        object.__setattr__(self, "_packed", packed)
 
     def contains(self, mono) -> bool:
-        h = mono_pack(mono, self._width, self._cap)
-        return packed_divides_any(self._packed, h, self._guard)
+        return _divides_any(self.min_gens, mono)
 
 
 def pure_power_removed(m, k: int, j: int) -> bool:

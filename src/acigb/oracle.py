@@ -13,14 +13,18 @@ returns ``SparsePoly`` polynomials.
 
 ``oracle_reduced_gb`` runs the pair loop Hilbert-driven (Traverso, J.
 Symbolic Comput. 22, 1996), with a lower bound in place of a known Hilbert
-function: ``hilbert_floor`` gives T(d) <= HF(R/I)(d) in every
-characteristic, and the leads L lie in in(I), so
-#std_d(L) >= HF(R/in(I))(d) = HF(R/I)(d) >= T(d).  Once the leads leave
-exactly T(d) standard monomials in degree d they span in(I) there, and every
-S-pair still waiting in degree d reduces to zero: it is dropped unreduced.
-Where the bound is not met, as where the weak Lefschetz property fails over
-F_p, every pair is reduced.  The argument needs homogeneous generators, so
-``buchberger`` with no floor, as on any other system, reduces every pair.
+function.  With h the Hilbert function of R/(x_1^{m_1}, ..., x_n^{m_n}),
+multiplying by (x_1 + ... + x_n)^k from degree d - k has rank at most
+h(d - k), so HF(R/I)(d) >= max(0, h(d) - h(d - k)) over any field.  T, the
+series ``hilbert.truncate_lefschetz`` cuts at its first non-positive
+coefficient and 0 beyond, is at most that bound in every degree.  The leads
+L lie in in(I), so #std_d(L) >= HF(R/in(I))(d) = HF(R/I)(d) >= T(d).  Once
+the leads leave exactly T(d) standard monomials in degree d they span in(I)
+there, and every S-pair still waiting in degree d reduces to zero: it is
+dropped unreduced.  Where the bound is not met, as where the weak Lefschetz
+property fails over F_p, every pair is reduced.  The argument needs
+homogeneous generators, so ``buchberger`` with no floor, as on any other
+system, reduces every pair.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .algebra import (
     reduce_full,
 )
 from .closed_form import GroebnerBasis, sort_elements
-from .hilbert import hf, hs_complete_intersection
+from .hilbert import hs_complete_intersection, truncate_lefschetz
 from .initial_ideal import MonomialIdeal, standard_levels
 
 
@@ -157,9 +161,9 @@ def buchberger(gens: list, cfg: OracleConfig, floor: tuple | None = None) -> tup
     of a reduction, and in a graded order none lies above the S-pair's lcm:
     a pair whose lcm does not fit restarts the run on a wider layout.
 
-    floor, when given, is ``hilbert_floor`` of the power-sum ideal the
-    generators span, indexed by degree and 0 beyond: before a pair of degree
-    d is popped, ``initial_ideal.standard_levels`` counts the standard
+    floor, when given, is T of the power-sum ideal the generators span (see
+    the module docstring), indexed by degree and 0 beyond: before a pair of
+    degree d is popped, ``initial_ideal.standard_levels`` counts the standard
     monomials the leads leave in degree d, and if they are exactly floor[d]
     every pair of degree d is dropped.  Only ``oracle_reduced_gb`` passes
     it; on other generators, inhomogeneous ones above all, the argument
@@ -260,23 +264,13 @@ def _lead_basis(
     return table
 
 
-def hilbert_floor(m, k: int) -> tuple:
-    """T(d) = max(0, h(d) - h(d - k)) for d through the top degree of h, the
-    Hilbert function of R/(x_1^{m_1}, ..., x_n^{m_n}); T is 0 beyond.
-
-    Multiplying by (x_1 + ... + x_n)^k from degree d - k has rank at most
-    h(d - k), so HF(R/I)(d) >= T(d) for I = (x^m, (x_1 + ... + x_n)^k) over
-    any field."""
-    h = hs_complete_intersection(m)
-    return tuple(max(0, h[d] - hf(h, d - k)) for d in range(len(h)))
-
-
 def oracle_reduced_gb(n: int, m, k: int, cfg: OracleConfig | None = None) -> GroebnerBasis:
     """Reduced basis of the power-sum ideal straight from the algorithm."""
     if cfg is None:
         cfg = OracleConfig(order=grevlex(n))
     gens = power_sum_generators(n, m, k, cfg.field)
-    leads, elements = sort_elements(buchberger(gens, cfg, hilbert_floor(m, k)), cfg.order)
+    floor = truncate_lefschetz(hs_complete_intersection(m), k)
+    leads, elements = sort_elements(buchberger(gens, cfg, floor), cfg.order)
     return GroebnerBasis(n, tuple(m), k, cfg.order, elements, leads)
 
 

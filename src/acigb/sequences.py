@@ -20,6 +20,7 @@ from .hilbert import (
     hf,
     hs_complete_intersection,
     series_socle,
+    truncate_lefschetz,
     type_classify,
 )
 
@@ -133,10 +134,10 @@ def _level_counts(level, m_n: int, k: int) -> tuple:
     d_min + e; counts is empty when no m-free generator uses x_n."""
     D, delta, series = level
     s_n = k + D - 2 * delta
-    # HF differences of the complete intersection; equal the quotient HF
+    # the quotient HF, read down from its last degree delta
+    quotient = truncate_lefschetz(series, k)
     return k + D - delta, tuple(
-        max(0, hf(series, delta - e) - hf(series, delta - e - k))
-        for e in range(min((m_n - 1 - s_n) // 2, delta) + 1)
+        quotient[delta - e] for e in range(min((m_n - 1 - s_n) // 2, delta) + 1)
     )
 
 

@@ -31,11 +31,8 @@ from acigb.algebra import (
     linear_power,
     max_index,
     mono_mul,
-    mono_pack,
     multinomial,
     pack_poly,
-    packed_divides_any,
-    packing,
     poly_to_json,
     poly_to_text,
     reduce_full,
@@ -203,51 +200,6 @@ class TestMonoHelpers:
     def test_compositions_no_parts(self):
         assert list(compositions(0, ())) == [()]
         assert list(compositions(2, ())) == []
-
-    def test_packed_divides_matches_mono_divides(self):
-        rng = random.Random(20261018)
-        for n in range(1, 7):
-            for _ in range(1000):
-                cap = rng.randint(0, 9)
-                width, guard = packing(n, cap)
-                # g is a generator, so at most cap; h may exceed it
-                g = tuple(rng.randint(0, cap) for _ in range(n))
-                h = tuple(rng.randint(0, cap + 3) for _ in range(n))
-                if rng.random() < 0.3:
-                    # a multiple of g, so the divisible case is common
-                    h = tuple(gi + rng.randint(0, 2) for gi in g)
-                for a, b in ((g, h), (g, g), (g, (0,) * n), ((0,) * n, h)):
-                    got = packed_divides_any(
-                        [mono_pack(a, width, cap)], mono_pack(b, width, cap), guard
-                    )
-                    assert got == mono_divides(a, b), (n, cap, a, b)
-
-    def test_packed_divides_any_over_a_list(self):
-        rng = random.Random(7)
-        for n in range(1, 5):
-            cap = 4
-            width, guard = packing(n, cap)
-            for _ in range(300):
-                gens = [
-                    tuple(rng.randint(0, cap) for _ in range(n))
-                    for _ in range(rng.randint(0, 5))
-                ]
-                h = tuple(rng.randint(0, cap + 2) for _ in range(n))
-                got = packed_divides_any(
-                    [mono_pack(g, width, cap) for g in gens],
-                    mono_pack(h, width, cap),
-                    guard,
-                )
-                assert got == any(mono_divides(g, h) for g in gens), (gens, h)
-
-    def test_packing_clamps_above_cap(self):
-        width, guard = packing(3, 2)
-        assert (width, guard) == (3, 0b100100100)
-        # first variable in the lowest field, 5 clamped to 2
-        assert mono_pack((5, 0, 2), width, 2) == 0b010000010
-        big = mono_pack((9, 0, 9), width, 2)
-        assert packed_divides_any([mono_pack((2, 0, 1), width, 2)], big, guard)
-        assert not packed_divides_any([mono_pack((0, 1, 0), width, 2)], big, guard)
 
     def test_packed_layout_is_the_term_order(self):
         # random monomials, n <= 7, both kinds, random rankings and several

@@ -1,5 +1,6 @@
 """Critical-set construction, minimal generators, and quotient counts."""
 
+import dataclasses
 import itertools
 import operator
 import pickle
@@ -121,11 +122,14 @@ class TestMonomialIdeal:
         def refuse(*args):
             raise AssertionError("MonomialIdeal reached a divisibility helper")
 
-        monkeypatch.setattr("acigb.initial_ideal.packed_divides_any", refuse)
+        monkeypatch.setattr("acigb.initial_ideal._divides_any", refuse)
         ideal = minimal_generators(12, (3,) * 12, 3)
         assert len(ideal.min_gens) > 0
 
-    def test_packed_fields_leave_equality_and_pickling_alone(self):
+    def test_generators_are_the_only_fields(self):
+        # no derived field rides along: equality, hash, repr and pickling
+        # see n and the generators alone
+        assert [f.name for f in dataclasses.fields(MonomialIdeal)] == ["n", "min_gens"]
         a = minimal_generators(*GOLDEN)
         b = MonomialIdeal(a.n, a.min_gens)
         assert a == b and hash(a) == hash(b)
@@ -207,7 +211,7 @@ class TestCriticalSets:
         def refuse(*args):
             raise AssertionError("critical_sets reached a divisibility helper")
 
-        for name in ("packed_divides_any", "mono_pack", "enumerate_m_free"):
+        for name in ("_divides_any", "enumerate_m_free"):
             monkeypatch.setattr(f"acigb.initial_ideal.{name}", refuse)
         assert sum(map(len, critical_sets(6, (3, 4, 2, 3, 4, 2), 5).by_index)) > 0
 
