@@ -383,8 +383,10 @@ class SparsePoly:
     def __repr__(self):
         if not self.terms:
             return "SparsePoly(0)"
-        body = poly_to_text(self, grevlex(self.n))
-        return f"SparsePoly({body})"
+        # the writer keeps the dict's order: sort the terms first
+        terms = self.terms
+        ordered = {mono: terms[mono] for mono in grevlex(self.n).descending(terms)}
+        return f"SparsePoly({poly_to_text(SparsePoly(self.n, self.field, ordered))})"
 
 
 @functools.lru_cache(maxsize=32)
@@ -553,8 +555,10 @@ def mono_to_text(mono: Mono) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def poly_to_text(f: SparsePoly, order: TermOrder, texts: dict | None = None) -> str:
-    """Human-readable infix form, terms sorted descending in the order.
+def poly_to_text(f: SparsePoly, texts: dict | None = None) -> str:
+    """Human-readable infix form, the terms in the order f's dict holds
+    them: a caller that wants them descending in a term order builds f so
+    (``closed_form.basis_elements`` does).
 
     texts maps a monomial to its ``mono_to_text``, and the call adds each
     monomial it meets for the first time: a caller that writes many
@@ -565,8 +569,7 @@ def poly_to_text(f: SparsePoly, order: TermOrder, texts: dict | None = None) -> 
     if texts is None:
         texts = {}
     get, terms, pieces = texts.get, f.terms, []
-    for i, mono in enumerate(order.descending(terms)):
-        c = terms[mono]
+    for i, (mono, c) in enumerate(terms.items()):
         # an int coefficient, over F_p, is never written with a minus
         neg = isinstance(c, Fraction) and c.numerator < 0
         mag = -c if neg else c
@@ -586,12 +589,10 @@ def poly_to_text(f: SparsePoly, order: TermOrder, texts: dict | None = None) -> 
     return " ".join(pieces)
 
 
-def poly_to_json(
-    f: SparsePoly, order: TermOrder, indent: str, texts: dict | None = None
-) -> str:
+def poly_to_json(f: SparsePoly, indent: str, texts: dict | None = None) -> str:
     """``{"n": n, "terms": [{"exps": [...], "coeff": "..."}, ...]}`` as JSON
     text, byte for byte as ``json.dumps(indent=2)`` writes it at this indent,
-    terms sorted descending in the order.
+    the terms in the order f's dict holds them, as ``poly_to_text``.
 
     texts maps a monomial to its term's text up to the coefficient, the
     ``"exps"`` block and the opening quote of ``"coeff"`` at this indent,
@@ -612,11 +613,11 @@ def poly_to_json(
     if texts is None:
         texts = {}
     get, pieces = texts.get, []
-    for m in order.descending(terms):
+    for m, c in terms.items():
         prefix = get(m)
         if prefix is None:
             prefix = texts[m] = f"{head}{sep.join(map(str, m))}{mid}"
-        pieces.append(f"{prefix}{terms[m]}{tail}")
+        pieces.append(f"{prefix}{c}{tail}")
     # the list's brackets join the first and last terms, so that the
     # element's text is built by one join, not copied again around it
     pieces[0] = f"{top}[\n{pieces[0]}"

@@ -66,31 +66,46 @@ def _box_weights(tables, lead, lo: int = 0):
             yield v, t, w
 
 
-def _divisor_numerators(s, j: int, m, tail_room: int | None = None):
-    """(s'', deg(s''), num) for every divisor s'' of the head
-    s_1 ... s_{j-1} whose weight lambda_{s''} = num / (deg(s) - deg(s''))! is
-    nonzero.
+@lru_cache(maxsize=1024)
+def _divisor_row(si: int, mi: int) -> tuple:
+    """s_i!/t! * C(m_i - t - 1, s_i - t) for t = 0..s_i."""
+    return tuple(factorial(si) // factorial(t) * binom(mi - t - 1, si - t) for t in range(si + 1))
 
-    num multiplies s_i!/s''_i! * C(m_i - s''_i - 1, s_i - s''_i) over i < j
-    with s_j!; the per-variable factors are tabulated once.  Divisors whose
-    tail degree deg(s) - deg(s'') exceeds tail_room are skipped.
-    """
-    head = s[: j - 1]
-    factors = [
-        [
-            factorial(si) // factorial(t) * binom(m[i] - t - 1, si - t)
-            for t in range(si + 1)
-        ]
-        for i, si in enumerate(head)
-    ]
-    lo = 0 if tail_room is None else sum(s) - tail_room
-    return _box_weights(factors, factorial(s[j - 1]), lo)
+
+def _divisor_tables(s, j: int, m):
+    """(tables, lead) of the divisor walk for s: tables[i] is the
+    ``_divisor_row`` of x_i, indexed by the exponent of x_i in a divisor s''
+    of the head s_1 ... s_{j-1}, and lead is s_j!."""
+    return list(map(_divisor_row, s[: j - 1], m[: j - 1])), factorial(s[j - 1])
+
+
+def _divisor_numerators(s, j: int, m):
+    """(s'', deg(s''), num) for every divisor s'' of the head
+    s_1 ... s_{j-1}, ascending in s'', whose weight
+    lambda_{s''} = num / (deg(s) - deg(s''))! is nonzero: num is s_j! times
+    the ``_divisor_tables`` entries of s''."""
+    return _box_weights(*_divisor_tables(s, j, m))
 
 
 @lru_cache(maxsize=1024)
-def _tail_terms(e: int, caps: tuple) -> tuple:
-    """(comp, prod(comp!)) for every composition of e bounded by caps."""
-    return tuple((comp, prod(map(factorial, comp))) for comp in compositions(e, caps))
+def _tail_colex(lo: int, hi: int, caps: tuple) -> tuple:
+    """(comp, prod(comp!), deg comp) for every composition bounded by caps
+    of a degree in lo..hi, ascending colex.  They are the compositions of hi
+    with one more part, hi - deg comp, in front: ``compositions`` yields
+    those ascending colex, which the front part, fixed by the rest, does
+    not decide."""
+    return tuple(
+        (comp[1:], prod(map(factorial, comp[1:])), hi - comp[0])
+        for comp in compositions(hi, (hi - lo,) + caps)
+    )
+
+
+@lru_cache(maxsize=1024)
+def _tail_lex(e: int, caps: tuple) -> tuple:
+    """(comp, prod(comp!)) for every composition of e bounded by caps,
+    descending lex."""
+    comps = sorted(compositions(e, caps), reverse=True)
+    return tuple((comp, prod(map(factorial, comp))) for comp in comps)
 
 
 # Fractions are immutable, so terms can share one per (num, den): a basis has
@@ -98,7 +113,9 @@ def _tail_terms(e: int, caps: tuple) -> tuple:
 _fraction = lru_cache(maxsize=4096)(Fraction)
 
 
-def build_gs_divisor_form(s, j: int, m, k: int, n_total: int) -> SparsePoly:
+def build_gs_divisor_form(
+    s, j: int, m, k: int, n_total: int, kind: str = "grevlex"
+) -> SparsePoly:
     """Basis element for s as a divisor sum.
 
     g_s = sum over s'' | s/x_j^{s_j} of
@@ -107,17 +124,39 @@ def build_gs_divisor_form(s, j: int, m, k: int, n_total: int) -> SparsePoly:
     and the weights lambda_{s''} = num / e! of ``_divisor_numerators``, where
     e = deg(s) - deg(s'').  The term of s'' * comp is then
     lambda_{s''} * multinomial(e, comp) = num / prod(comp!).
+
+    The terms come descending in the graded order of this kind with
+    x_1 > ... > x_n, the order the writers of ``algebra`` expect; the element
+    is homogeneous, so only the tie-break within degree d = deg(s) counts, and
+    it follows from the two factors of each term.  In grevlex, descending is
+    ascending colex, and the tail comp holds the last variables: the
+    compositions ascending colex over all their degrees, and after each the
+    divisors of degree d - deg(comp) ascending colex, which the divisor walk
+    gives over the reversed tables.  In grlex, descending is descending lex:
+    the divisors descending lex, and after each the compositions of its tail
+    degree descending lex.
     """
     m = check_degree_vector(m)
     _check_generator_shape(s, j, m, k, n_total)
     s = tuple(s)
     d = sum(s)
     caps = tuple(mi - 1 for mi in m[j - 1 :])
+    tables, lead = _divisor_tables(s, j, m)
+    lo = d - sum(caps)  # a divisor of lower degree has no composition
     terms: dict = {}
     # each (s'', comp) is its own monomial, so no two terms meet; every
     # numerator is positive, so no coefficient is 0
-    for sdd, t, num in _divisor_numerators(s, j, m, sum(caps)):
-        for comp, den in _tail_terms(d - t, caps):
+    if kind == "grlex":
+        for sdd, t, num in reversed(list(_box_weights(tables, lead, lo))):
+            for comp, den in _tail_lex(d - t, caps):
+                terms[sdd + comp] = _fraction(num, den)
+        return SparsePoly(n_total, QQ, terms)
+    by_tail: dict = {}  # tail degree -> [(s'', num)], ascending colex
+    for v, t, num in _box_weights(tables[::-1], lead, lo):
+        by_tail.setdefault(d - t, []).append((v[::-1], num))
+    # the tail degrees run from s_j, for s'' the whole head, up to d - lo
+    for comp, den, e in _tail_colex(s[j - 1], d - max(lo, 0), caps):
+        for sdd, num in by_tail[e]:
             terms[sdd + comp] = _fraction(num, den)
     return SparsePoly(n_total, QQ, terms)
 
@@ -343,6 +382,9 @@ def basis_elements(n: int, m, k: int, order: TermOrder) -> Iterator:
     a caller that writes each element as it comes holds one at a time.  The
     basis depends only on the variable ranking, so the elements are built in
     a relabeled frame where the ranking is the identity, then mapped back.
+    Each element's terms come descending in the order, as the writers of
+    ``algebra`` take them: the frame's build emits them descending in the
+    order's kind, and the relabeling maps the frame's order onto the order.
     """
     m = check_degree_vector(m, n)
     m_perm = tuple(m[r - 1] for r in order.ranking)
@@ -370,9 +412,10 @@ def basis_elements(n: int, m, k: int, order: TermOrder) -> Iterator:
             if recipe is None:
                 g = SparsePoly.monomial(n, lead, QQ)
             else:
-                g = build_gs_divisor_form(*recipe, m_perm, k, n)
+                g = build_gs_divisor_form(*recipe, m_perm, k, n, order.kind)
                 if relabel:
-                    # a bijection on monomials: nothing merges or cancels
+                    # a bijection on monomials that keeps the order: nothing
+                    # merges or cancels, and the terms stay descending
                     g = SparsePoly(n, QQ, {back(mo): c for mo, c in g.terms.items()})
             yield lead, g
 

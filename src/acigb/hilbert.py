@@ -92,14 +92,15 @@ def type_classify(m_prefix, k: int) -> TypeInfo:
 
 
 def series_socle(series: Series, sigma: int, k: int, m) -> tuple:
-    """(D, delta) of the complete intersection with this series and largest
-    exponent sigma (0 for the empty product); m names the exponents in the
-    error.
+    """(D, delta, quotient) of the complete intersection with this series
+    and largest exponent sigma (0 for the empty product); m names the
+    exponents in the error.
 
     D is the socle degree of the complete intersection, delta the socle
-    degree after quotienting by the k-th power of the variable sum. delta is
-    computed by the two-case closed formula and independently by Lefschetz
-    truncation; any mismatch is a hard error.
+    degree after quotienting by the k-th power of the variable sum, and
+    quotient the series of that quotient, ``truncate_lefschetz(series, k)``.
+    delta is computed by the two-case closed formula and independently as
+    the last degree of quotient; any mismatch is a hard error.
     """
     D = len(series) - 1
     tau = D - (sigma - 1)
@@ -110,13 +111,14 @@ def series_socle(series: Series, sigma: int, k: int, m) -> tuple:
         delta = (D + k - 1) // 2
     else:
         delta = tau + k - 1
-    delta_series = len(truncate_lefschetz(series, k)) - 1
+    quotient = truncate_lefschetz(series, k)
+    delta_series = len(quotient) - 1
     if delta != delta_series:
         raise RuntimeError(
             f"socle degree mismatch for m={tuple(m)}, k={k}: "
             f"formula {delta} vs truncation {delta_series}"
         )
-    return D, delta
+    return D, delta, quotient
 
 
 def socle_degrees(m_prefix, k: int) -> tuple:
@@ -126,4 +128,4 @@ def socle_degrees(m_prefix, k: int) -> tuple:
         return 0, 0
     check_degree_vector(m_prefix)
     check_power(k)
-    return series_socle(hs_complete_intersection(m_prefix), max(m_prefix), k, m_prefix)
+    return series_socle(hs_complete_intersection(m_prefix), max(m_prefix), k, m_prefix)[:2]

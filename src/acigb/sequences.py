@@ -20,7 +20,6 @@ from .hilbert import (
     hf,
     hs_complete_intersection,
     series_socle,
-    truncate_lefschetz,
     type_classify,
 )
 
@@ -115,14 +114,15 @@ class DegreeSequence:
 
 
 def _levels(spec: MSpec, k: int):
-    """(D, delta, series) of the prefix x_1 .. x_{n-1} for the levels
+    """``series_socle``'s (D, delta, quotient) of the prefix x_1 .. x_{n-1},
+    quotient the truncated series it checks delta on, for the levels
     n = 1, 2, ...: each step multiplies the series by one more factor, and
     reads that exponent only when the caller asks for the next level, so a
     finite prefix runs out exactly where a scan needs more of it."""
     check_power(k)
     series, sigma, prefix = (1,), 0, []
     while True:
-        yield series_socle(series, sigma, k, prefix) + (series,)
+        yield series_socle(series, sigma, k, prefix)
         m_n = spec.entry(len(prefix) + 1)
         prefix.append(m_n)
         series = extend_series(series, m_n)
@@ -132,10 +132,9 @@ def _levels(spec: MSpec, k: int):
 def _level_counts(level, m_n: int, k: int) -> tuple:
     """(d_min, counts): counts[e] m-free generators using x_n lie in degree
     d_min + e; counts is empty when no m-free generator uses x_n."""
-    D, delta, series = level
+    D, delta, quotient = level
     s_n = k + D - 2 * delta
     # the quotient HF, read down from its last degree delta
-    quotient = truncate_lefschetz(series, k)
     return k + D - delta, tuple(
         quotient[delta - e] for e in range(min((m_n - 1 - s_n) // 2, delta) + 1)
     )

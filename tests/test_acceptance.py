@@ -78,7 +78,7 @@ def test_criterion_01_golden_basis_byte_identical():
     start = time.perf_counter()
     basis = reduced_gb(*GOLDEN)
     elapsed = time.perf_counter() - start
-    text = "\n".join(poly_to_text(g, basis.order) for g in basis.elements) + "\n"
+    text = "\n".join(poly_to_text(g) for g in basis.elements) + "\n"
     assert text == GOLDEN_BASIS_TEXT
     half = [
         c for g in basis.elements for c in g.terms.values() if c == Fraction(1, 2)

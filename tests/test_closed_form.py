@@ -20,6 +20,8 @@ from acigb.algebra import (
 )
 from acigb import closed_form
 from acigb.closed_form import (
+    basis_elements,
+    basis_order,
     build_certificate,
     build_gs_divisor_form,
     build_gs_tail_form,
@@ -44,7 +46,7 @@ class TestDivisorForm:
     def test_golden_long_element(self):
         n, m, k = GOLDEN
         g = build_gs_divisor_form((2, 0, 0, 0), 1, m, k, n)
-        assert poly_to_text(g, grevlex(n)) == (
+        assert poly_to_text(g) == (
             "x1^2 + 2*x1*x2 + 2*x1*x3 + 2*x2*x3"
             " + 2*x1*x4 + 2*x2*x4 + 2*x3*x4 + x4^2"
         )
@@ -53,7 +55,7 @@ class TestDivisorForm:
         n, m, k = GOLDEN
         g = build_gs_divisor_form((1, 1, 1, 0), 3, m, k, n)
         assert g.terms[(1, 0, 0, 2)] == Fraction(1, 2)
-        assert poly_to_text(g, grevlex(n)) == (
+        assert poly_to_text(g) == (
             "x1*x2*x3 + x1*x2*x4 + x1*x3*x4 + 2*x2*x3*x4"
             " + 1/2*x1*x4^2 + x2*x4^2 + x3*x4^2"
         )
@@ -273,7 +275,7 @@ class TestReducedBasis:
     def test_golden_basis_text(self):
         n, m, k = GOLDEN
         gb = reduced_gb(n, m, k)
-        rendered = [poly_to_text(g, gb.order) for g in gb.elements]
+        rendered = [poly_to_text(g) for g in gb.elements]
         assert rendered == [
             "x1^2 + 2*x1*x2 + 2*x1*x3 + 2*x2*x3"
             " + 2*x1*x4 + 2*x2*x4 + 2*x3*x4 + x4^2",
@@ -296,7 +298,7 @@ class TestReducedBasis:
         assert max(g.degree() for g in gb.elements) == 7
         tall = [g for g in gb.elements if g.degree() == 7]
         assert len(tall) == 1
-        assert poly_to_text(tall[0], gb.order) == "x4^7 + 7*x4^6*x5 + 21*x4^5*x5^2"
+        assert poly_to_text(tall[0]) == "x4^7 + 7*x4^6*x5 + 21*x4^5*x5^2"
 
     def test_order_kind_does_not_matter(self):
         for n, m, k in [(3, (3, 2, 4), 2), (3, (2, 2, 2), 1), GOLDEN[:3]]:
@@ -321,6 +323,25 @@ class TestReducedBasis:
         assert {
             frozenset(g.terms.items()) for g in gb.elements
         } == relabeled
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.tuples(*[st.integers(2, 4)] * n),
+                st.integers(1, 4),
+                st.permutations(range(1, n + 1)),
+                st.sampled_from(["grevlex", "grlex"]),
+            )
+        )
+    )
+    def test_terms_come_descending_in_the_order(self, case):
+        # the writers keep the dict's order, so the build must emit it
+        m, k, ranking, kind = case
+        n = len(m)
+        order = basis_order(n, tuple(ranking), kind)
+        for lead, g in basis_elements(n, m, k, order):
+            assert list(g.terms) == order.descending(g.terms), (case, lead)
 
     def test_ranking_must_cover_every_variable(self):
         for ranking in [(2, 1, 3), (1,)]:

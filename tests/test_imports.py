@@ -258,3 +258,34 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def writer_sort_calls(source: str) -> list:
+    """(writer, callee) for every call of ``descending`` or ``sorted`` inside
+    ``poly_to_json`` or ``poly_to_text``."""
+    return sorted(
+        (writer, callee)
+        for writer in ("poly_to_json", "poly_to_text")
+        for callee in ("descending", "sorted")
+        if writer in call_sites(source, callee)
+    )
+
+
+def test_writer_sort_reader_sees_every_form():
+    source = (
+        "def poly_to_json(f, indent):\n"
+        "    return [order.descending(f.terms)]\n"
+        "def poly_to_text(f):\n"
+        "    return sorted(f.terms)\n"
+        "def other(f):\n"
+        "    return sorted(f.terms)\n"
+    )
+    assert writer_sort_calls(source) == [
+        ("poly_to_json", "descending"), ("poly_to_text", "sorted")
+    ]
+
+
+def test_writers_do_not_sort():
+    # the elements come from the build in the order they are written in, so
+    # a sort in a writer is pure cost
+    assert writer_sort_calls((PACKAGE / "algebra.py").read_text()) == []

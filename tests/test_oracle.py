@@ -121,9 +121,9 @@ class TestBuchberger:
 
     def test_single_variable_truncates_power(self):
         gb = oracle_reduced_gb(1, (5,), 2)
-        assert [poly_to_text(g, gb.order) for g in gb.elements] == ["x1^2"]
+        assert [poly_to_text(g) for g in gb.elements] == ["x1^2"]
         gb = oracle_reduced_gb(1, (3,), 7)
-        assert [poly_to_text(g, gb.order) for g in gb.elements] == ["x1^3"]
+        assert [poly_to_text(g) for g in gb.elements] == ["x1^3"]
 
     def test_grid_agrees_with_closed_form(self):
         for n, m, k in small_grid():
