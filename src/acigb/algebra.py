@@ -218,28 +218,24 @@ class TermOrder:
             raise ValueError(f"unknown order kind {self.kind!r}")
         if sorted(self.ranking) != list(range(1, len(self.ranking) + 1)):
             raise ValueError(f"ranking must permute 1..n, got {self.ranking}")
-        # the default ranking needs no permutation, which keeps key() cheap
-        identity = self.ranking == tuple(range(1, len(self.ranking) + 1))
-        object.__setattr__(self, "_identity", identity)
         # positions of the ranked exponents, lowest-ranked first for grevlex
         ranked = [r - 1 for r in self.ranking]
         if self.kind == "grevlex":
             ranked.reverse()
-        object.__setattr__(self, "_ranked", operator.itemgetter(*ranked) if ranked else None)
+        object.__setattr__(self, "_ranked", tuple(ranked))
 
     @property
     def n(self) -> int:
         return len(self.ranking)
 
-    def permute(self, mono: Mono) -> Mono:
-        return tuple(mono[i - 1] for i in self.ranking)
-
     def key(self, mono: Mono):
-        """Sort key: key(a) < key(b) iff a comes before b in the order."""
-        perm = mono if self._identity else self.permute(mono)
+        """Sort key: key(a) < key(b) iff a comes before b in the order.  The
+        degree, then the ranked exponents as ``descending`` reads them, negated
+        in grevlex."""
+        ranked = tuple(map(mono.__getitem__, self._ranked))
         if self.kind == "grevlex":
-            return (sum(perm), tuple(map(operator.neg, reversed(perm))))
-        return (sum(perm), tuple(perm))
+            ranked = tuple(map(operator.neg, ranked))
+        return (sum(mono), ranked)
 
     def descending(self, monos) -> list:
         """The monomials sorted from highest to lowest, as
@@ -247,9 +243,10 @@ class TermOrder:
         stable sorts on C-level keys: the ranked exponents (grevlex ascending
         from the last variable, grlex descending from the first), then the
         degree, descending."""
-        if self._ranked is None:
+        if not self._ranked:
             return list(monos)  # n = 0: only the unit monomial exists
-        out = sorted(monos, key=self._ranked, reverse=self.kind == "grlex")
+        ranked = operator.itemgetter(*self._ranked)
+        out = sorted(monos, key=ranked, reverse=self.kind == "grlex")
         out.sort(key=sum, reverse=True)
         return out
 
@@ -365,10 +362,6 @@ class SparsePoly:
         lm = max(self.terms, key=order.key)
         return lm, self.terms[lm]
 
-    def fingerprint(self):
-        """Hashable canonical form: sorted (mono, coeff) pairs."""
-        return tuple(sorted(self.terms.items()))
-
     def __eq__(self, other):
         return (
             isinstance(other, SparsePoly)
@@ -378,7 +371,7 @@ class SparsePoly:
         )
 
     def __hash__(self):
-        return hash((self.n, self.field.p, self.fingerprint()))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:

@@ -424,7 +424,7 @@ def _cmd_hilbert(ns: argparse.Namespace) -> tuple:
     # the series of every prefix of m is built on the way to the whole
     _refuse(_series_size(check_degree_vector(ns.m)), SEQ_BUDGET, "hilbert request", "--m")
     series = hs_complete_intersection(ns.m)
-    socle_D, delta, quotient = series_socle(series, max(ns.m, default=0), ns.k, ns.m)
+    socle_D, delta, quotient = series_socle(series, ns.k)
     if ns.format == "json":
         return _dumps(
             {
@@ -695,8 +695,8 @@ def _verify_case(case):
     n, m, k, with_census = case
     row = {"n": n, "m": list(m), "k": k}
     oracle_ideal = None
-    # reduced_gb's kind only orders the elements and their terms, and a
-    # fingerprint is a set
+    # reduced_gb's kind only orders the elements and the terms of each, and
+    # a fingerprint holds both as sets, so one basis serves both kinds
     basis = reduced_gb(n, m, k)
     mine = basis.fingerprint()
     for kind in ("grevlex", "grlex"):
@@ -745,8 +745,9 @@ def _grid_count(n_max: int, m_max: int, k_max: int, census: bool = False) -> int
 
 def verify_all(grid, census: bool = False) -> dict:
     """Cross-check every case of the grid: closed-form basis against the
-    Buchberger oracle in both orders, and the three Hilbert function routes
-    against each other. Grid bounds are inclusive; exponents run from 2."""
+    Buchberger oracle in both orders, and the Hilbert function of the
+    quotient by each basis's initial ideal against the Lefschetz truncation.
+    Grid bounds are inclusive; exponents run from 2."""
     n_max, m_max, k_max = grid
     flags = "--n-max, --m-max or --k-max"
     size = _grid_count(n_max, m_max, k_max)

@@ -27,7 +27,6 @@ from .algebra import (
     check_degree_vector,
     check_power,
     compositions,
-    enumerate_m_free,
     grevlex,
     is_m_free,
     max_index,
@@ -37,6 +36,7 @@ from .initial_ideal import (
     critical_exponent,
     critical_sets,
     minimal_generators,
+    quotient_levels,
 )
 
 
@@ -169,34 +169,30 @@ def build_gs_tail_form(
     A tail monomial t is m-free of the same degree, smaller than s, outside
     the initial ideal, and bounded by s in every variable before x_j; its
     coefficient is the binomial product over those variables times the ratio
-    of factorial products of the two exponent vectors.
+    of factorial products of the two exponent vectors.  Those bounds are
+    pure powers x_i^(s_i + 1), so the candidates are the standard monomials
+    of degree deg(s) that ``quotient_levels`` yields under them; the terms
+    come descending in grevlex.
     """
     m = check_degree_vector(m)
     _check_generator_shape(s, j, m, k, n_total)
     s = tuple(s)
     if ideal is None:
         ideal = minimal_generators(n_total, m, k)
-    key = grevlex(n_total).key
-    s_key = key(s)
-    s_fact = 1
-    for si in s:
-        s_fact *= factorial(si)
+    bounds = tuple(si + 1 for si in s[: j - 1]) + m[j - 1 :]
+    layout, levels = quotient_levels(n_total, bounds, ideal)
+    s_key, s_fact = layout.pack(s), prod(map(factorial, s))
     terms: dict = {s: Fraction(1)}
-    for t in enumerate_m_free(n_total, m, sum(s)):
-        if key(t) >= s_key:
-            continue
-        if any(t[i] > s[i] for i in range(j - 1)):
-            continue
-        if ideal.contains(t):
-            continue
-        num = s_fact
-        for i in range(j - 1):
-            num *= binom(m[i] - t[i] - 1, s[i] - t[i])
-        den = 1
-        for ti in t:
-            den *= factorial(ti)
-        terms[t] = Fraction(num, den)
-    return SparsePoly.from_terms(n_total, terms.items(), QQ)
+    level = next(itertools.islice(levels, sum(s), None))
+    for key in sorted(level, reverse=True):
+        if key < s_key:
+            t = layout.unpack(key)
+            num = s_fact
+            for i in range(j - 1):
+                # positive, since t_i <= s_i < m_i
+                num *= binom(m[i] - t[i] - 1, s[i] - t[i])
+            terms[t] = Fraction(num, prod(map(factorial, t)))
+    return SparsePoly(n_total, QQ, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +335,10 @@ class GroebnerBasis:
         return MonomialIdeal(self.n, tuple(grevlex(self.n).descending(self.leads)))
 
     def fingerprint(self) -> frozenset:
-        """Marked basis: each element together with its leading monomial.
+        """Marked basis: each element's leading monomial with the set of its
+        (monomial, coefficient) terms, so neither the order of the elements
+        nor that of their terms counts, and the coefficients compare as
+        numbers, whatever their field.
 
         Two orders can share every polynomial yet mark different leading
         monomials; over m = (3, 3, 3), k = 1 the rankings that agree on the
@@ -347,7 +346,7 @@ class GroebnerBasis:
         ideals differ, and they count as different bases.
         """
         return frozenset(
-            (lead, g.fingerprint()) for lead, g in zip(self.leads, self.elements)
+            (lead, frozenset(g.terms.items())) for lead, g in zip(self.leads, self.elements)
         )
 
 

@@ -5,8 +5,8 @@ Series are dense integer coefficient lists indexed by degree, built one factor
 1 + t + ... + t^(m_i - 1) at a time. The quotient by a generic power of the
 variable sum has Hilbert series equal to the original series times (1 - t^k),
 cut at the first non-positive coefficient; the last surviving index is the
-socle degree and is also given by a two-case closed formula. Both routes are
-always computed and must agree.
+socle degree.  ``type_classify`` names the two cases of the closed formula
+for it, which the tests check against the truncation.
 """
 
 from __future__ import annotations
@@ -91,41 +91,18 @@ def type_classify(m_prefix, k: int) -> TypeInfo:
     return TypeInfo(sigma, tau, k >= sigma - tau - 1)
 
 
-def series_socle(series: Series, sigma: int, k: int, m) -> tuple:
-    """(D, delta, quotient) of the complete intersection with this series
-    and largest exponent sigma (0 for the empty product); m names the
-    exponents in the error.
+def series_socle(series: Series, k: int) -> tuple:
+    """(D, delta, quotient) of the complete intersection with this series.
 
-    D is the socle degree of the complete intersection, delta the socle
-    degree after quotienting by the k-th power of the variable sum, and
-    quotient the series of that quotient, ``truncate_lefschetz(series, k)``.
-    delta is computed by the two-case closed formula and independently as
-    the last degree of quotient; any mismatch is a hard error.
+    D is the socle degree of the complete intersection, quotient the series
+    after quotienting by the k-th power of the variable sum,
+    ``truncate_lefschetz(series, k)``, and delta its last degree, the socle
+    degree of that quotient.
     """
-    D = len(series) - 1
-    tau = D - (sigma - 1)
-    if k > D:
-        # the power already lies in the complete intersection
-        delta = D
-    elif k >= sigma - tau - 1:
-        delta = (D + k - 1) // 2
-    else:
-        delta = tau + k - 1
     quotient = truncate_lefschetz(series, k)
-    delta_series = len(quotient) - 1
-    if delta != delta_series:
-        raise RuntimeError(
-            f"socle degree mismatch for m={tuple(m)}, k={k}: "
-            f"formula {delta} vs truncation {delta_series}"
-        )
-    return D, delta, quotient
+    return len(series) - 1, len(quotient) - 1, quotient
 
 
 def socle_degrees(m_prefix, k: int) -> tuple:
     """(D_j, delta_j) for the prefix of length j, as ``series_socle``."""
-    m_prefix = tuple(m_prefix)
-    if not m_prefix:
-        return 0, 0
-    check_degree_vector(m_prefix)
-    check_power(k)
-    return series_socle(hs_complete_intersection(m_prefix), max(m_prefix), k, m_prefix)[:2]
+    return series_socle(hs_complete_intersection(m_prefix), k)[:2]

@@ -21,7 +21,6 @@ from .algebra import (
     PackedLayout,
     check_degree_vector,
     check_power,
-    compositions,
     enumerate_m_free,
     grevlex,
     is_m_free,
@@ -274,18 +273,26 @@ def standard_levels(layout: PackedLayout, leads: set):
         level = {c: v >> n for c, v in reach.items() if v >> n == v & low and c not in leads}
 
 
+def quotient_levels(n: int, bounds, ideal: MonomialIdeal) -> tuple:
+    """(layout, levels): ``standard_levels`` of
+    R / (ideal + (x_1^{b_1}, ..., x_n^{b_n})), every bound b_i at least 1,
+    on the grevlex keys of layout, whose integer order is grevlex; so each
+    level holds the monomials of its degree that lie below the bounds and
+    outside the ideal."""
+    layout = PackedLayout(grevlex(n), max(bounds, default=1))
+    pack = layout.pack
+    # a generator that is not below the bounds lies in the pure powers' ideal
+    leads = {pack(g) for g in ideal.min_gens if is_m_free(g, bounds)}
+    leads.update(pack((0,) * i + (b,) + (0,) * (n - 1 - i)) for i, b in enumerate(bounds))
+    return layout, standard_levels(layout, leads)
+
+
 def hilbert_counts(n: int, m, ideal: MonomialIdeal) -> tuple:
     """Number of m-free monomials outside the ideal in each degree from 0,
     through the first degree with none: the Hilbert function of
-    R / (ideal + (x_1^{m_1}, ..., x_n^{m_n})), counted by ``standard_levels``."""
-    m = check_degree_vector(m, n)
-    layout = PackedLayout(grevlex(n), max(m, default=1))
-    pack = layout.pack
-    # a generator that is not m-free lies in the pure powers' ideal
-    leads = {pack(g) for g in ideal.min_gens if is_m_free(g, m)}
-    leads.update(pack((0,) * i + (mi,) + (0,) * (n - 1 - i)) for i, mi in enumerate(m))
+    R / (ideal + (x_1^{m_1}, ..., x_n^{m_n})), counted by ``quotient_levels``."""
     counts = []
-    for level in standard_levels(layout, leads):
+    for level in quotient_levels(n, check_degree_vector(m, n), ideal)[1]:
         counts.append(len(level))
         if not level:
             return tuple(counts)
@@ -319,17 +326,19 @@ def check_strongly_m_stable(n: int, m, k: int, ideal: MonomialIdeal | None = Non
 
 
 def check_revlex_segment(n: int, m, k: int, ideal: MonomialIdeal | None = None) -> bool:
-    """Every monomial of the same degree lying revlex-above an m-free minimal
-    generator belongs to the ideal."""
+    """Every m-free monomial of the same degree lying revlex-above an m-free
+    minimal generator belongs to the ideal: in each degree, the largest
+    standard key lies below the key of every m-free generator."""
     if ideal is None:
         ideal = minimal_generators(n, m, k)
-    key = grevlex(n).key
+    layout, levels = quotient_levels(n, check_degree_vector(m, n), ideal)
+    lowest: dict = {}  # degree -> smallest key of an m-free generator
     for s in ideal.min_gens:
-        if not is_m_free(s, m):
-            continue
-        d, s_key = sum(s), key(s)
-        for t in compositions(d, (d,) * n):
-            if key(t) > s_key and not ideal.contains(t):
-                return False
+        if is_m_free(s, m):
+            key = layout.pack(s)
+            lowest[sum(s)] = min(key, lowest.get(sum(s), key))
+    for d, level in zip(range(max(lowest, default=-1) + 1), levels):
+        # keys are never negative
+        if d in lowest and not max(level, default=-1) < lowest[d]:
+            return False
     return True
-

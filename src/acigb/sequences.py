@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 from .algebra import check_degree_vector, check_power
 from .hilbert import (
@@ -114,19 +114,16 @@ class DegreeSequence:
 
 
 def _levels(spec: MSpec, k: int):
-    """``series_socle``'s (D, delta, quotient) of the prefix x_1 .. x_{n-1},
-    quotient the truncated series it checks delta on, for the levels
-    n = 1, 2, ...: each step multiplies the series by one more factor, and
-    reads that exponent only when the caller asks for the next level, so a
-    finite prefix runs out exactly where a scan needs more of it."""
+    """``series_socle``'s (D, delta, quotient) of the prefix x_1 .. x_{n-1}
+    for the levels n = 1, 2, ...: each step multiplies the series by one
+    more factor, and reads that exponent only when the caller asks for the
+    next level, so a finite prefix runs out exactly where a scan needs more
+    of it."""
     check_power(k)
-    series, sigma, prefix = (1,), 0, []
-    while True:
-        yield series_socle(series, sigma, k, prefix)
-        m_n = spec.entry(len(prefix) + 1)
-        prefix.append(m_n)
-        series = extend_series(series, m_n)
-        sigma = max(sigma, m_n)
+    series = (1,)
+    for n in count(1):
+        yield series_socle(series, k)
+        series = extend_series(series, spec.entry(n))
 
 
 def _level_counts(level, m_n: int, k: int) -> tuple:

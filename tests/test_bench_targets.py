@@ -1,12 +1,14 @@
 """What the benchmark relies on, checked by the test suite.
 
 ``perfbench/layer_trace.py`` wraps functions and methods of ``acigb`` by
-name, and ``perfbench/catalogue.json`` pins the SHA-256 of every output the
-benchmark runs.  A rename in the package, or a change of one output byte,
-would otherwise surface only when a benchmark run fails; here it fails the
-test suite instead.
+name, ``perfbench/make_catalogue.py`` imports and calls others, and
+``perfbench/catalogue.json`` pins the SHA-256 of every output the benchmark
+runs.  A rename in the package, or a change of one output byte, would
+otherwise surface only when a benchmark run fails or the catalogue is built
+again; here it fails the test suite instead.
 """
 
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -21,6 +23,7 @@ from acigb import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LAYER_TRACE = PERFBENCH / "layer_trace.py"
+MAKE_CATALOGUE = PERFBENCH / "make_catalogue.py"
 CATALOGUE = PERFBENCH / "catalogue.json"
 
 
@@ -61,6 +64,38 @@ def test_every_traced_name_resolves(layer_trace):
             continue
         assert callable(getattr(target, "__func__", target)), (module, qualname)
     assert not missing, f"traced names missing from acigb: {missing}"
+
+
+def test_catalogue_builder_names_resolve():
+    """Every ``acigb`` name that ``make_catalogue.py`` imports, read with
+    ``ast`` so the script does not run, and every attribute it reads off an
+    imported ``acigb`` module, resolves; and its two checks on bases still
+    run: ``GroebnerBasis.fingerprint`` against the oracle and
+    ``build_gs_tail_form(..., ideal)`` against the divisor form."""
+    tree = ast.parse(MAKE_CATALOGUE.read_text())
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("acigb"):
+            for alias in node.names:
+                module = importlib.import_module(node.module)
+                found[alias.asname or alias.name] = getattr(module, alias.name)
+    assert {"cli", "reduced_gb", "build_gs_tail_form", "oracle_reduced_gb"} <= set(found)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "cli":
+                assert callable(getattr(found["cli"], node.attr)), node.attr
+
+    n, m, k = 4, (3, 2, 2, 3), 2
+    order = found["TermOrder"]("grlex", (2, 4, 1, 3))
+    mine = found["reduced_gb"](n, m, k, ranking=order.ranking, kind=order.kind)
+    theirs = found["oracle_reduced_gb"](n, m, k, found["OracleConfig"](order))
+    assert mine.fingerprint() == theirs.fingerprint()
+    ideal = found["minimal_generators"](n, m, k)
+    crit = found["critical_sets_formula"](n, m, k)
+    for j, group in enumerate(crit.by_index, start=1):
+        for s in group:
+            tail = found["build_gs_tail_form"](s, j, m, k, n, ideal)
+            assert found["build_gs_divisor_form"](s, j, m, k, n) == tail, s
 
 
 def test_closed_form_pairs_replay(capsys):

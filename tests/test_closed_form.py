@@ -313,6 +313,28 @@ class TestReducedBasis:
         assert a.elements != b.elements
         assert a.fingerprint() == b.fingerprint()
 
+    def test_fingerprint_reads_terms_as_a_set(self):
+        # reversing every element's term dict moves no fingerprint, hash or ==
+        for n, m, k in [GOLDEN, (4, (2, 4, 3, 5), 3)]:
+            basis = reduced_gb(n, m, k)
+            flipped = tuple(
+                SparsePoly(g.n, g.field, dict(reversed(g.terms.items()))) for g in basis.elements
+            )
+            for g, h in zip(basis.elements, flipped):
+                assert list(g.terms) != list(h.terms) or len(g.terms) == 1
+                assert (g == h, hash(g)) == (True, hash(h))
+            same = dataclasses.replace(basis, elements=flipped)
+            assert same.fingerprint() == basis.fingerprint()
+
+    def test_fingerprint_marks_the_leads(self):
+        # rankings that agree on the top variable of (3, 3, 3), k = 1 share
+        # every polynomial but mark different leading monomials
+        a = reduced_gb(3, (3, 3, 3), 1, ranking=(1, 2, 3))
+        b = reduced_gb(3, (3, 3, 3), 1, ranking=(1, 3, 2))
+        assert set(a.elements) == set(b.elements)
+        assert a.leads != b.leads
+        assert a.fingerprint() != b.fingerprint()
+
     def test_ranking_relabels_variables(self):
         gb = reduced_gb(2, (3, 2), 1, ranking=(2, 1))
         swapped = reduced_gb(2, (2, 3), 1)

@@ -12,6 +12,7 @@ from acigb.hilbert import (
     hs_complete_intersection,
     is_symmetric,
     is_unimodal,
+    series_socle,
     socle_degrees,
     truncate_lefschetz,
     type_classify,
@@ -96,6 +97,17 @@ class TestTruncation:
                     assert t[0] == 1
 
 
+def two_case_delta(m, k: int) -> int:
+    """The closed formula for the socle degree of R / (x^m, ell^k), D that
+    of R / (x^m): D once ell^k lies in (x^m), else (D + k - 1) // 2 in the
+    balanced case of ``type_classify`` and tau + k - 1 in the other."""
+    D = sum(mi - 1 for mi in m)
+    if k > D:
+        return D
+    info = type_classify(m, k)
+    return (D + k - 1) // 2 if info.type1 else info.tau + k - 1
+
+
 class TestSocleDegrees:
     def test_prefix_of_mixed_vector(self):
         assert socle_degrees((2, 3, 2), 3) == (4, 3)
@@ -117,16 +129,20 @@ class TestSocleDegrees:
         assert socle_degrees((5,), 4) == (4, 3)
 
     def test_dual_route_grid(self):
-        for n in range(1, 6):
-            for m in itertools.product((2, 3, 4), repeat=n):
-                for k in range(1, 7):
-                    socle_degrees(m, k)  # raises on mismatch
+        # the series depends only on the multiset of exponents
+        for n in range(7):
+            for m in itertools.combinations_with_replacement(range(2, 7), n):
+                series = hs_complete_intersection(m)
+                D = sum(mi - 1 for mi in m)
+                for k in range(1, D + 3):
+                    quotient = truncate_lefschetz(series, k)
+                    assert series_socle(series, k) == (D, two_case_delta(m, k), quotient), (m, k)
 
     def test_dual_route_spiky_vectors(self):
         for m in [(2, 3, 2, 20, 3), (2, 2, 9), (5, 2, 2), (4, 2, 5), (2, 7)]:
             for k in range(1, 9):
                 for j in range(len(m) + 1):
-                    socle_degrees(m[:j], k)
+                    assert socle_degrees(m[:j], k)[1] == two_case_delta(m[:j], k), (m[:j], k)
 
 
 class TestTypeClassify:

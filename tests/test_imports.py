@@ -233,21 +233,29 @@ def test_level_count_reader_sees_every_form():
 
 
 def test_standard_monomials_are_counted_by_one_walk():
-    # the tail form lists the tail monomials of one element and the segment
-    # check tests a revlex property; neither counts a quotient, and every
-    # count goes through initial_ideal.standard_levels
+    # no function scans a level of monomials against an ideal: the Hilbert
+    # counts, the segment check and the tail form all read the standard
+    # monomials off initial_ideal.standard_levels, through quotient_levels
     found = sorted(
         f"{path.stem}.{site}"
         for path in sorted(PACKAGE.glob("*.py"))
         for site in level_count_sites(path.read_text())
     )
-    assert found == ["closed_form.build_gs_tail_form", "initial_ideal.check_revlex_segment"]
-    walkers = sorted(
-        f"{path.stem}.{site}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for site in call_sites(path.read_text(), "standard_levels")
-    )
-    assert walkers == ["initial_ideal.hilbert_counts", "oracle._lead_basis"]
+    assert found == []
+
+    def callers(name):
+        return sorted(
+            f"{path.stem}.{site}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for site in call_sites(path.read_text(), name)
+        )
+
+    assert callers("standard_levels") == ["initial_ideal.quotient_levels", "oracle._lead_basis"]
+    assert callers("quotient_levels") == [
+        "closed_form.build_gs_tail_form",
+        "initial_ideal.check_revlex_segment",
+        "initial_ideal.hilbert_counts",
+    ]
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

@@ -376,3 +376,7 @@ class TestStructure:
         # sit above it at degree 2 but are outside the ideal
         ideal = MonomialIdeal(2, ((0, 2),))
         assert not check_revlex_segment(2, (3, 3), 1, ideal)
+        # x1*x2 alone neither: x1^2 lies above it and outside, though x2^2,
+        # also outside, lies below it
+        ideal = MonomialIdeal(2, ((1, 1),))
+        assert not check_revlex_segment(2, (3, 3), 1, ideal)
